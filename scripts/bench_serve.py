@@ -54,7 +54,7 @@ QUERIES = [
     ("lives_not_born", "Lives(p | t), not Born(p | t)", ["p"]),
     ("mayor_towns", "Mayor(t | p)", ["t"]),
 ]
-METHODS = ["auto", "compiled", "sql", "columnar", "parallel"]
+METHODS = ["auto", "compiled", "sql", "columnar"]
 
 FULL = {"people": 300, "towns": 30, "query_threads": 4, "pollers": 2,
         "batches": 60, "rows_per_batch": 20, "queries_per_thread": 60}
@@ -110,19 +110,13 @@ def direct_digest(db, text, free):
     return answers_digest(rows), len(rows)
 
 
-def options_for(method):
-    if method == "parallel":
-        return {"method": "parallel", "jobs": 2}
-    return {"method": method}
-
-
 def parity_sweep(client, mirror, label):
     results, ok = [], True
     for name, text, free in QUERIES:
         expected, count = direct_digest(mirror, text, free)
         for method in METHODS:
             body = client.request("POST", "/v1/answers", {
-                "query": text, "free": free, "options": options_for(method)})
+                "query": text, "free": free, "options": {"method": method}})
             match = body["digest"] == expected and body["count"] == count
             ok = ok and match
             results.append({"query": name, "method": method,
@@ -172,7 +166,7 @@ def run_load(port, cfg, batches, view_version):
                 t0 = time.perf_counter()
                 client.request("POST", "/v1/answers", {
                     "query": text, "free": free,
-                    "options": options_for(method)})
+                    "options": {"method": method}})
                 lat["query"].append((time.perf_counter() - t0) * 1000.0)
         except Exception as exc:
             errors.append(f"query[{tid}]: {exc!r}")
@@ -265,7 +259,7 @@ def main(argv):
 
         proc = subprocess.Popen(
             [sys.executable, "-m", "repro", "serve", "--db-path",
-             str(store_path), "--port", "0", "--jobs", "2"],
+             str(store_path), "--port", "0"],
             env={**os.environ,
                  "PYTHONPATH": str(pathlib.Path(__file__).resolve().parent.parent / "src")},
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)

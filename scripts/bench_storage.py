@@ -161,7 +161,6 @@ def bench_sql_crossover(base, sizes):
     from repro.db.sqlite_backend import load_database
 
     open_query = OpenQuery(poll_qa(), [Variable("p")])
-    os.environ["REPRO_SQL_MIN_FACTS"] = "0"
     rows = []
     for people, towns in sizes:
         db = random_poll_database(people, towns, conflict_rate=0.5,

@@ -15,8 +15,7 @@ this package checks the artifacts the engine derives from them:
   :mod:`repro.fo.stats`.
 * :mod:`repro.analysis.rules` — the QP100-series performance rule
   registry, reusing the linter's Diagnostic/RuleInfo machinery:
-  static warnings for guaranteed parallel serial fallbacks, Adom*
-  view recomputes, cartesian products, bad join orders, brute-force
+  static warnings for Adom* view recomputes, cartesian products, bad join orders, brute-force
   routing of non-FO queries, and plan-cache-unfriendly constants.
 * :mod:`repro.analysis.report` — ``analyze_text``/``analyze_query``
   building the unified :class:`AnalysisReport` behind the

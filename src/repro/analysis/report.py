@@ -173,8 +173,8 @@ def _compile_stage(
 ) -> Optional[object]:
     """The compiled plan the engine would actually run, or None.
 
-    Open queries compile the guarded open rewriting (the parallel and
-    compiled tiers' input); Boolean queries compile the consistent
+    Open queries compile the guarded open rewriting (the plan
+    backends' input); Boolean queries compile the consistent
     rewriting.  ``NotInFO`` cannot fire here — the caller only
     compiles after an ``in FO`` classification — but is tolerated for
     robustness (an undecided corner simply skips the plan stages).

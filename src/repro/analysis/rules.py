@@ -1,8 +1,8 @@
-"""The performance rules, QP100–QP112.
+"""The performance rules (QP codes; QP101–QP103 and QP110 are retired).
 
 Where the QL-rules of :mod:`repro.lint.rules` check *admissibility*
 (will the paper's machinery accept this query at all), the QP-rules
-predict *execution behaviour*: which of the engine's four tiers a
+predict *execution behaviour*: which of the engine's backends a
 query will actually reach, and what it will cost to get there.  Every
 rule is decidable from the query text, its classification and its
 compiled plan — nothing here runs the query.
@@ -11,16 +11,12 @@ compiled plan — nothing here runs the query.
 code      severity  meaning
 ========  ========  =====================================================
 QP100     error     compiled plan fails the IR verifier (engine bug)
-QP101     info      Boolean query: parallel execution falls back serial
-QP102     warning   no answer variable at a key position: cannot shard
-QP103     warning   plan touches Adom*: parallel refuses the plan
 QP104     info      plan touches Adom*: incremental views recompute
 QP105     warning   cartesian product in the compiled plan
 QP106     warning   join order ≥ X times the estimated best order
 QP107     warning   not in FO: certainty runs the brute-force path
 QP108     hint      constants in the query defeat plan-cache reuse
 QP109     warning   plan touches Adom*: columnar decodes to tuples
-QP110     warning   plan has no native SQL translation: pushdown refused
 QP111     warning   WAL grew past the checkpoint threshold uncompacted
 QP112     hint      constants/DDL defeat the SQL statement cache
 ========  ========  =====================================================
@@ -159,89 +155,6 @@ def check_verification(
         f"compiled plan rejected by the verifier: {error}",
         fix="this is an engine bug, not a query problem; please report "
             "the query text and the PV code",
-    )
-
-
-# ----------------------------------------------------------------------
-# parallel serial fallbacks (statically guaranteed)
-# ----------------------------------------------------------------------
-
-
-@qp_rule(
-    "QP101",
-    "parallel-boolean-fallback",
-    Severity.INFO,
-    "Boolean query: parallel execution always falls back to serial",
-    "docs/PERFORMANCE.md: certainty does not decompose over shards "
-    "for Boolean queries",
-)
-def check_boolean_fallback(
-    info: RuleInfo, ctx: AnalysisContext
-) -> Iterator[Diagnostic]:
-    if not ctx.in_fo or ctx.free:
-        return
-    yield info.diagnostic(
-        "Boolean query: method=parallel will fall back to the serial "
-        "compiled plan (fallback reason \"boolean\")",
-        fix="name answer variables with --free to enable sharding, or "
-            "use --method compiled directly",
-    )
-
-
-@qp_rule(
-    "QP102",
-    "no-shard-variable",
-    Severity.WARNING,
-    "no answer variable at a key position: the database cannot be "
-    "sharded",
-    "repro.parallel.partition: blocks are routed by a key position "
-    "carrying an answer variable",
-)
-def check_no_shard_variable(
-    info: RuleInfo, ctx: AnalysisContext
-) -> Iterator[Diagnostic]:
-    from ..cqa.certain_answers import OpenQuery
-    from ..parallel.partition import shard_spec
-
-    if not ctx.in_fo or not ctx.free or ctx.query is None:
-        return
-    try:
-        open_query = OpenQuery(ctx.query, ctx.free)
-    except Exception:
-        return
-    if shard_spec(open_query, ctx.db) is not None:
-        return
-    names = ", ".join(v.name for v in ctx.free)
-    yield info.diagnostic(
-        f"no answer variable ({names}) occurs at a key position of any "
-        f"atom: method=parallel will fall back to serial "
-        f"(fallback reason \"no-shard-variable\")",
-        fix="route work by an answer variable that appears in some "
-            "atom's primary key",
-    )
-
-
-@qp_rule(
-    "QP103",
-    "parallel-adom-fallback",
-    Severity.WARNING,
-    "compiled plan touches the active domain: parallel execution "
-    "refuses it",
-    "repro.parallel.executor: shards see a smaller active domain, so "
-    "Adom* plans are not shard-local",
-)
-def check_adom_parallel(
-    info: RuleInfo, ctx: AnalysisContext
-) -> Iterator[Diagnostic]:
-    if ctx.plan is None or not ctx.free:
-        return
-    if not plan_uses_adom(ctx.plan):
-        return
-    yield info.diagnostic(
-        "compiled plan contains Adom* operators: method=parallel will "
-        "fall back to serial (fallback reason \"plan-touches-adom\")",
-        fix="guard every negated atom's variables by positive atoms so "
-            "the compiler never reaches for the active domain",
     )
 
 
@@ -423,42 +336,6 @@ def check_columnar_decode(
 # ----------------------------------------------------------------------
 # durable-store findings (only fire with a persistent --db-path)
 # ----------------------------------------------------------------------
-
-
-@qp_rule(
-    "QP110",
-    "sql-pushdown-unsupported-plan",
-    Severity.WARNING,
-    "mirror-backed store would route this query to SQL pushdown, but "
-    "the plan contains operators with no native SQL translation",
-    "repro.storage.sqlgen: supports_plan admits only the twelve known "
-    "plan-IR node types; Adom* plans push down natively since the "
-    "maintained repro_adom table, so only genuinely unknown operator "
-    "shapes force the in-memory path",
-)
-def check_sql_pushdown_unsupported(
-    info: RuleInfo, ctx: AnalysisContext
-) -> Iterator[Diagnostic]:
-    from ..storage.pushdown import mirror_capable, sql_min_facts
-    from ..storage.sqlgen import supports_plan
-
-    if ctx.plan is None or ctx.db is None or not mirror_capable(ctx.db):
-        return
-    if supports_plan(ctx.plan):
-        return
-    if ctx.db.size() < sql_min_facts():
-        return
-    yield info.diagnostic(
-        f"store holds {ctx.db.size():,} facts (>= REPRO_SQL_MIN_FACTS "
-        f"= {sql_min_facts():,}) but the compiled plan contains "
-        f"operators the native SQL compiler cannot translate: "
-        f"method=auto falls back to the in-memory executors instead of "
-        f"the sqlite mirror (fallback_unsupported in the storage "
-        f"metrics)",
-        fix="recompile through the stock plan lowering (custom plan "
-            "nodes have no SQL translation), or run method=compiled/"
-            "columnar explicitly",
-    )
 
 
 @qp_rule(

@@ -1,8 +1,8 @@
 """The plan-IR verifier: machine-checked invariants for compiled plans.
 
 Every execution tier — the serial compiled executor, the probe-mode
-boolean evaluator, the sharded parallel path, and the incremental
-delta engine — consumes the same untyped operator trees from
+boolean evaluator, the columnar batch executor, the SQL compiler, and
+the incremental delta engine — consumes the same untyped operator trees from
 :mod:`repro.fo.plan`.  The verifier walks such a tree once and checks
 the structural contract those consumers silently rely on:
 
@@ -65,9 +65,9 @@ __all__ = [
     "verify_plan",
 ]
 
-#: Node types whose execution touches the active domain.  The parallel
-#: executor refuses to shard such plans and the incremental delta
-#: engine maintains them through the recompute-from-dirty-subtree
+#: Node types whose execution touches the active domain.  The columnar
+#: router keeps such plans on the tuple executor and the incremental
+#: delta engine maintains them through the recompute-from-dirty-subtree
 #: escape hatch, so the verifier marks them in its report.
 ADOM_NODES: Tuple[type, ...] = (AdomProduct, AdomGuard, AdomEq)
 

@@ -277,14 +277,12 @@ def _print_stats() -> None:
 
 
 def _execution_options(args: argparse.Namespace) -> ExecutionOptions:
-    """The ExecutionOptions for a query command: --method/--jobs plus
-    the trace flags, with env fallbacks included (overrides beat env)."""
+    """The ExecutionOptions for a query command: --method plus the
+    trace flags, with env fallbacks included (overrides beat env)."""
     if getattr(args, "json", False) and not args.trace:
         raise SystemExit("error: --json requires --trace")
-    method = _method_with_jobs(args)
     return ExecutionOptions.from_env(
-        method=method,
-        jobs=args.jobs if method == "parallel" else None,
+        method=args.method,
         trace=args.trace,
         trace_file=args.trace_out,
     )
@@ -312,28 +310,6 @@ def _flush_trace(tracer, config) -> None:
         n = tracer.write_jsonl(config.trace_file)
         print(f"wrote {n} span records to {config.trace_file}",
               file=sys.stderr)
-
-
-def _method_with_jobs(args: argparse.Namespace) -> str:
-    """Resolve --method against --jobs.
-
-    ``--jobs`` belongs to the parallel executor: with the default
-    ``--method auto`` it simply selects ``parallel``; any explicit
-    serial method plus ``--jobs`` is a contradiction and is rejected.
-    """
-    method = args.method
-    if args.jobs is None:
-        return method
-    if args.jobs < 1:
-        raise SystemExit("error: --jobs must be a positive integer")
-    if method == "auto":
-        return "parallel"
-    if method != "parallel":
-        raise SystemExit(
-            f"error: --jobs only applies to --method parallel "
-            f"(got --method {method})"
-        )
-    return method
 
 
 def cmd_certain(args: argparse.Namespace) -> int:
@@ -488,19 +464,13 @@ def cmd_watch(args: argparse.Namespace) -> int:
             last_version = view.version
     except KeyboardInterrupt:
         # Ctrl-C ends the watch like EOF would: commit any staged
-        # batch, release pools, close the store, print the summary.
+        # batch, close the store, print the summary.
         interrupted = True
     finally:
         if stream is not sys.stdin:
             stream.close()
         if db.in_batch:
             db.commit()
-        # Warm forked pools (a prior --jobs run, or auto-parallel view
-        # maintenance) hold strong references to the database; release
-        # them explicitly so an interrupted watch exits promptly.
-        from .parallel import release_database
-
-        release_database(db)
         # A --db-path store is closed here; committed batches are
         # already durable, and the final summary only reads memory.
         _close_db(db)
@@ -524,8 +494,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     Owns the database (and, with --db-path, the durable store) until
     shutdown; prints one readiness line — ``listening on http://...``
     — once the socket is bound, so wrappers can wait for it.  SIGINT/
-    SIGTERM drain connections, release the warm worker pools, and
-    close the store cleanly.
+    SIGTERM drain connections and close the store cleanly.
     """
     import asyncio
     import signal
@@ -534,7 +503,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
     db = _load_db(args)
     server = ReproServer(db, host=args.host, port=args.port,
-                         jobs=args.jobs, trace_file=args.trace_out)
+                         trace_file=args.trace_out)
 
     async def _serve() -> None:
         await server.start()
@@ -789,8 +758,6 @@ def cmd_db_stats(args: argparse.Namespace) -> int:
           f"hit rate {rate}")
     pd = report["pushdown"]
     print(f"pushdown: {pd['native_sql']} native, {pd['legacy_sql']} legacy, "
-          f"{pd['fallback_unsupported']} unsupported-plan fallback(s), "
-          f"{pd['fallback_small']} below-threshold fallback(s), "
           f"{pd['mirror_rebuilds']} rebuild(s), "
           f"{pd['mirror_delta_rows']} delta row(s)")
     return 0
@@ -859,10 +826,6 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=("auto",) + METHODS,
                    help="solving strategy (auto: compiled when in FO, "
                         "else brute)")
-    p.add_argument("--jobs", type=int, default=None, metavar="N",
-                   help="worker count for --method parallel (implies it "
-                        "when --method is auto; Boolean certainty falls "
-                        "back to the serial compiled plan)")
     p.add_argument("--trace", action="store_true",
                    help="collect spans and per-operator timings; print an "
                         "EXPLAIN ANALYZE report after the answer")
@@ -886,14 +849,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="durable store directory (repro db init); "
                         "mutually exclusive with --db")
     p.add_argument("--method", default="auto",
-                   choices=("auto", "brute", "interpreted", "rewriting",
-                            "compiled", "sql", "parallel", "columnar"),
-                   help="solving strategy (auto: compiled when in FO, "
-                        "else brute; columnar runs the vectorized batch "
-                        "executor)")
-    p.add_argument("--jobs", type=int, default=None, metavar="N",
-                   help="worker count for --method parallel (implies it "
-                        "when --method is auto)")
+                   choices=("auto",) + METHODS,
+                   help="solving strategy (auto: brute when not in FO, "
+                        "else columnar when its cost gate passes, else "
+                        "compiled)")
     p.add_argument("--show-sql", action="store_true",
                    help="print the single SQL query first")
     p.add_argument("--trace", action="store_true",
@@ -946,9 +905,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--port", type=int, default=8100,
                    help="TCP port; 0 picks a free port (printed in the "
                         "readiness line)")
-    p.add_argument("--jobs", type=int, default=None,
-                   help="admission width and the default worker count "
-                        "for method='parallel' requests")
     p.add_argument("--trace-out", default=None, metavar="FILE",
                    help="append one span tree per request as JSONL "
                         "records to FILE")

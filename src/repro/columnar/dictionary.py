@@ -12,10 +12,8 @@ whole invalidation story (the bug class this module exists to close):
 * The :class:`ValueDictionary` is **append-only and never invalidated**.
   A code, once assigned, means the same value forever — deleting the
   value from the database merely leaves its code unused.  Append-only
-  is what makes codes safe to ship across process boundaries: a forked
-  worker that inherited the dictionary at length ``L`` agrees with the
-  parent on every code below ``L`` no matter how much either side has
-  appended since (see :mod:`repro.parallel.pool`).
+  is what lets the sqlite mirror persist codes and keep them stable
+  across process restarts (see :mod:`repro.storage.pushdown`).
 * The **encoded relation columns and scan results are version-tagged
   caches**.  Each entry records the :meth:`Database.relation_version`
   (for per-relation data) or the changelog :attr:`Database.clock` (for
@@ -172,26 +170,17 @@ class ColumnarStore:
     def prime(self, db: Database) -> int:
         """Encode every relation of ``db`` into the dictionary.
 
-        Returns the dictionary length afterwards — the code horizon a
-        forked worker can safely report back to this process (see the
-        append-only argument in the module docstring).
+        Returns the dictionary length afterwards.
         """
         for relation in db.relations():
             self.encoded(db, relation)
         return len(self.dictionary)
 
 
-def columnar_store(db: Database,
-                   dictionary: Optional[ValueDictionary] = None) -> ColumnarStore:
-    """The database's columnar store, created on first use.
-
-    ``dictionary`` lets callers share one global dictionary across
-    several databases (the parallel path attaches the parent's
-    dictionary to every shard before forking); it only applies when the
-    store is created here — an existing store keeps its dictionary.
-    """
+def columnar_store(db: Database) -> ColumnarStore:
+    """The database's columnar store, created on first use."""
     store = getattr(db, _STORE_ATTR, None)
     if store is None:
-        store = ColumnarStore(dictionary)
+        store = ColumnarStore()
         setattr(db, _STORE_ATTR, store)
     return store

@@ -50,6 +50,7 @@ from operator import (
 )
 from time import perf_counter
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from weakref import WeakKeyDictionary
 
 from ..db.database import Database
 from ..fo.plan import (
@@ -76,7 +77,6 @@ __all__ = [
     "columnar_rows",
     "columnar_holds",
     "prefer_columnar",
-    "prime_plan_values",
     "columnar_stats",
     "reset_columnar_stats",
     "COLUMNAR_MIN_FACTS",
@@ -735,44 +735,14 @@ def columnar_holds(compiled, db: Database, profile=None) -> bool:
     return compiled.holds(db, profile=profile)
 
 
-def prime_plan_values(store: ColumnarStore, plan: Plan,
-                      constants: Sequence = ()) -> None:
-    """Encode every value a plan can mention into the dictionary.
-
-    Scan constants, literal rows, select constants and the compiled
-    constants tuple — the values that batch execution would otherwise
-    encode lazily.  The parallel path calls this (plus
-    :meth:`ColumnarStore.prime`) *before* forking workers, so workers
-    never assign codes of their own and the append-only agreement
-    argument of :mod:`repro.columnar.dictionary` applies.
-    """
-    from ..fo.plan import plan_nodes
-
-    encode = store.dictionary.encode
-    for value in constants:
-        encode(value)
-    for node in plan_nodes(plan):
-        if type(node) is Scan:
-            for value in node.consts.values():
-                encode(value)
-        elif type(node) is Literal:
-            for row in node.rows:
-                for value in row:
-                    encode(value)
-        elif type(node) is Select:
-            for lhs, rhs, _ in node.conds:
-                if lhs[0] == "const":
-                    encode(lhs[1])
-                if rhs[0] == "const":
-                    encode(rhs[1])
-
-
 # ----------------------------------------------------------------------
 # cost-model routing
 # ----------------------------------------------------------------------
 
-_ROUTE_CACHE_LIMIT = 64
-_route_cache: Dict[Tuple, bool] = {}
+#: Attribute holding a database's per-plan routing decisions: a
+#: ``WeakKeyDictionary`` from compiled query to ``(clock, decision)``,
+#: so an entry dies with its plan-cache entry and with its database.
+_ROUTE_ATTR = "_columnar_routes"
 
 
 def prefer_columnar(compiled, db: Database, config=None) -> bool:
@@ -780,12 +750,12 @@ def prefer_columnar(compiled, db: Database, config=None) -> bool:
 
     Three gates, cheapest first: the query must be open (sentences are
     probe-delegated anyway), the database must carry at least
-    ``REPRO_COLUMNAR_MIN_FACTS`` facts, and the PR 6 cost model's
-    estimate for the plan must reach ``REPRO_COLUMNAR_COST`` — below
-    that, tuple execution finishes before column encoding pays off.
-    Plans touching Adom* stay on the tuple executor (their batch form
-    is a decode fallback; QP109 reports this statically).  Decisions
-    are cached per (database, clock, plan).  ``config`` (a
+    ``REPRO_COLUMNAR_MIN_FACTS`` facts, and the cost model's estimate
+    for the plan must reach ``REPRO_COLUMNAR_COST`` — below that, tuple
+    execution finishes before column encoding pays off.  Plans touching
+    Adom* stay on the tuple executor (their batch form is a decode
+    fallback; QP109 reports this statically).  Decisions are cached on
+    the database, per compiled query and clock.  ``config`` (a
     :class:`repro.obs.RunConfig`) overrides the env-derived size
     threshold — how :class:`repro.obs.ExecutionOptions` reaches this
     gate.
@@ -796,9 +766,15 @@ def prefer_columnar(compiled, db: Database, config=None) -> bool:
                  if config is not None else _min_facts())
     if db.size() < threshold:
         return False
-    key = (id(db), db.clock, id(compiled.plan))
-    hit = _route_cache.get(key)
-    if hit is None:
+    routes = getattr(db, _ROUTE_ATTR, None)
+    if routes is None:
+        routes = WeakKeyDictionary()
+        setattr(db, _ROUTE_ATTR, routes)
+    clock = db.clock
+    entry = routes.get(compiled)
+    if entry is not None and entry[0] == clock:
+        hit = entry[1]
+    else:
         from ..analysis.cost import CostModel, table_stats
         from ..analysis.verifier import plan_uses_adom
 
@@ -807,9 +783,7 @@ def prefer_columnar(compiled, db: Database, config=None) -> bool:
         else:
             report = CostModel(table_stats(db)).estimate(compiled.plan)
             hit = report.total_cost >= _cost_threshold()
-        if len(_route_cache) >= _ROUTE_CACHE_LIMIT:
-            _route_cache.clear()
-        _route_cache[key] = hit
+        routes[compiled] = (clock, hit)
     if hit:
         _STATS["auto_routed"] += 1
     return hit

@@ -5,38 +5,13 @@ is easy, essentially because free variables can be treated as
 constants."  A tuple c⃗ is a *certain answer* of q(x⃗) on **db** when
 the Boolean query q_[x⃗↦c⃗] is true in every repair of **db**.
 
-This module implements exactly that reduction, with four strategies:
-
-``brute``
-    Ground every candidate tuple and run brute-force certainty.
-``rewriting``
-    Build ONE consistent first-order rewriting φ(x⃗) with free
-    variables (placeholder grounding, then re-opening), and evaluate it
-    per candidate with the guarded Python evaluator.
-``compiled``
-    Lower φ(x⃗) to a set-at-a-time relational plan and return every
-    certain answer from a single plan execution — no per-candidate
-    loop at all.
-``sql``
-    Compile φ(x⃗) into a single SQL SELECT returning all certain
-    answers at once — consistent query answering as one query over the
-    dirty database.
-``parallel``
-    Split the database into block-preserving shards and run the
-    compiled plan on every shard in a forked worker pool
-    (:mod:`repro.parallel`); falls back to ``compiled`` in-process
-    whenever sharding cannot help (Boolean query, tiny database,
-    ``jobs=1``, ...).
-``columnar``
-    Execute the same compiled plan with the vectorized batch executor
-    (:mod:`repro.columnar`): dictionary-encoded int columns and batch
-    hash joins over fused int keys.  ``auto`` upgrades ``compiled`` to
-    ``columnar`` when :func:`repro.columnar.prefer_columnar` — database
-    size plus the cost model's plan estimate — says batching pays, and
-    to ``sql`` first when :func:`repro.storage.pushdown.prefer_sql`
-    says a persistent store's sqlite mirror should take the query
-    (mirror-backed database, Adom*-free plan, ``REPRO_SQL_MIN_FACTS``
-    reached).
+This module implements exactly that reduction: :class:`OpenQuery`
+names the answer variables, :func:`open_rewriting` builds ONE
+consistent FO rewriting φ(x⃗) with them free (placeholder grounding,
+then re-opening), and :func:`certain_answers` runs it through the
+backend table of :mod:`repro.cqa.backends` — the compiled plans return
+every certain answer from a single execution, the Boolean backends
+test one candidate tuple at a time.
 
 The candidate space is enumerated from rows of the positive atoms
 (complete, because a repair is a subset of the database): free
@@ -57,8 +32,7 @@ from ..core.query import Query, QueryError
 from ..core.terms import Constant, PlaceholderConstant, Variable, is_variable
 from ..db.database import Database
 from ..db.sqlite_backend import create_tables, load_database
-from ..fo.compile import plan_cache
-from ..fo.eval import Evaluator
+from ..fo.compile import CompiledQuery, plan_cache
 from ..fo.formula import (
     And,
     AtomF,
@@ -72,14 +46,6 @@ from ..fo.formula import (
 )
 from ..fo.simplify import simplify_fixpoint
 from ..fo.sql import SQLCompiler, decode_value
-from ..obs.options import (
-    _UNSET,
-    close_tracer as _close_tracer,
-    merge_legacy_options,
-    open_tracer as _open_tracer,
-)
-from .brute_force import is_certain_brute_force
-from .is_certain import is_certain
 from .rewriting import NotInFO, Rewriter
 
 
@@ -117,11 +83,32 @@ class OpenQuery:
     @property
     def in_fo(self) -> bool:
         """Does every grounding admit a consistent FO rewriting?"""
-        return classify(self.boolean_form).verdict is Verdict.IN_FO
+        return _in_fo(self.query, self.free)
+
+    def require_fo(self, method: str) -> None:
+        """Raise :class:`NotInFO` unless :attr:`in_fo`."""
+        if not self.in_fo:
+            raise NotInFO(
+                f"method {method!r} needs a consistent FO rewriting, "
+                f"which Theorem 4.3 withholds for this query with the "
+                f"answer variables frozen"
+            )
+
+    def plan(self, db: Database) -> CompiledQuery:
+        """The compiled guarded rewriting for ``db``'s schema (plan
+        cache), answer columns in ``free`` order."""
+        return plan_cache.get_or_compile(
+            _guarded_open_rewriting(self), db, self.free)
 
     def __repr__(self) -> str:
         names = ", ".join(v.name for v in self.free)
         return f"({names}) <- {self.query!r}"
+
+
+@lru_cache(maxsize=512)
+def _in_fo(query: Query, free: Tuple[Variable, ...]) -> bool:
+    boolean_form = OpenQuery(query, free).boolean_form
+    return classify(boolean_form).verdict is Verdict.IN_FO
 
 
 @lru_cache(maxsize=512)
@@ -297,166 +284,27 @@ def certain_answers(
     options=None,
     *,
     tracer=None,
-    method=_UNSET,
-    jobs=_UNSET,
-    config=_UNSET,
 ) -> FrozenSet[Tuple]:
     """All certain answers of q(x⃗) on db.
 
     ``options`` is an :class:`repro.obs.ExecutionOptions` — or a bare
     method string as shorthand, or its strict ``dict`` wire form (the
-    body of a ``repro serve`` request).  ``auto`` picks ``compiled``
-    when the grounded query is in FO, otherwise ``brute``; the
-    ``jobs`` field sets the worker count of the ``parallel`` method
-    (default: the CPU count, capped by ``max_workers``) and — as in the
-    CLI — upgrades ``auto`` to ``parallel``.  Serial strategies reject
-    it at :class:`~repro.obs.ExecutionOptions` construction: they have
-    nothing to parallelize.
+    body of a ``repro serve`` request).  ``auto`` follows
+    :func:`repro.cqa.backends.route`: ``brute`` when the grounded query
+    is not in FO, ``columnar`` when its cost gate says batching pays,
+    ``compiled`` otherwise.
 
     ``tracer`` (a :class:`repro.obs.Tracer`) records phase spans and,
-    for the ``compiled``/``parallel`` methods, a per-operator
+    for the plan backends, a per-operator
     :class:`repro.obs.PlanProfile` attached via ``tracer.add_profile``;
     without an explicit tracer, the options' ``trace`` / ``trace_file``
     fields create (and flush) one.  Tracing never changes the answers —
     the parity tests in ``tests/test_obs.py`` pin that down for every
     method.
-
-    The ``method=`` / ``jobs=`` / ``config=`` keywords are deprecated
-    shims that fold into ``options`` with a :class:`DeprecationWarning`
-    (an *error* for repro-internal callers); see ``docs/SERVE.md`` for
-    the migration table.
     """
-    opts = merge_legacy_options(
-        options, where="certain_answers",
-        method=method, jobs=jobs, config=config,
-    )
-    tracer, own = _open_tracer(opts, tracer)
-    try:
-        return _certain_answers(open_query, db, opts, tracer)
-    finally:
-        _close_tracer(opts, tracer, own)
+    from .backends import OPEN, run
 
-
-def _certain_answers(
-    open_query: OpenQuery, db: Database, opts, tracer
-) -> FrozenSet[Tuple]:
-    from ..obs.trace import NULL_TRACER
-
-    t = tracer if tracer is not None else NULL_TRACER
-    method = opts.resolved_method
-    run_config = opts.run_config()
-    if method == "auto":
-        if open_query.in_fo:
-            method = "compiled"
-            from ..columnar import prefer_columnar
-            from ..storage.pushdown import prefer_sql
-
-            compiled = plan_cache.get_or_compile(
-                _guarded_open_rewriting(open_query), db, open_query.free
-            )
-            if prefer_sql(compiled, db, config=run_config):
-                method = "sql"
-            elif prefer_columnar(compiled, db, config=run_config):
-                method = "columnar"
-        else:
-            method = "brute"
-    if method == "parallel":
-        from ..parallel import parallel_certain_answers
-
-        with t.span("certain-answers", method=method):
-            return parallel_certain_answers(
-                open_query, db, jobs=opts.jobs, config=run_config,
-                tracer=tracer if t.enabled else None,
-            )
-    if method == "brute":
-        with t.span("certain-answers", method=method) as span:
-            candidates = candidate_values(open_query, db)
-            span.count("candidates", len(candidates))
-            return frozenset(
-                c for c in candidates
-                if is_certain_brute_force(open_query.grounded(c), db)
-            )
-    if method == "interpreted":
-        with t.span("certain-answers", method=method) as span:
-            candidates = candidate_values(open_query, db)
-            span.count("candidates", len(candidates))
-            return frozenset(
-                c for c in candidates
-                if is_certain(open_query.grounded(c), db)
-            )
-    if method == "rewriting":
-        with t.span("certain-answers", method=method) as span:
-            with t.span("rewrite"):
-                formula = open_rewriting(open_query)
-            evaluator = Evaluator(formula, db)
-            candidates = candidate_values(open_query, db)
-            span.count("candidates", len(candidates))
-            return frozenset(
-                c for c in candidates
-                if evaluator.evaluate(dict(zip(open_query.free, c)))
-            )
-    if method == "compiled":
-        if not t.enabled:
-            formula = _guarded_open_rewriting(open_query)
-            compiled = plan_cache.get_or_compile(formula, db, open_query.free)
-            return compiled.rows(db)
-        from ..obs.profile import PlanProfile
-
-        with t.span("certain-answers", method=method):
-            with t.span("rewrite-and-compile"):
-                formula = _guarded_open_rewriting(open_query)
-                compiled = plan_cache.get_or_compile(
-                    formula, db, open_query.free
-                )
-            profile = PlanProfile()
-            with t.span("execute") as span:
-                rows = compiled.rows(db, profile=profile)
-                span.count("rows_out", len(rows))
-            t.add_profile(compiled.plan, profile, method=method,
-                          phase="execute")
-            return rows
-    if method == "columnar":
-        from ..columnar import columnar_rows
-
-        if not t.enabled:
-            formula = _guarded_open_rewriting(open_query)
-            compiled = plan_cache.get_or_compile(formula, db, open_query.free)
-            return columnar_rows(compiled, db)
-        from ..obs.profile import PlanProfile
-
-        with t.span("certain-answers", method=method):
-            with t.span("rewrite-and-compile"):
-                formula = _guarded_open_rewriting(open_query)
-                compiled = plan_cache.get_or_compile(
-                    formula, db, open_query.free
-                )
-            profile = PlanProfile()
-            with t.span("execute") as span:
-                rows = columnar_rows(compiled, db, profile=profile)
-                span.count("rows_out", len(rows))
-            t.add_profile(compiled.plan, profile, method=method,
-                          phase="execute")
-            return rows
-    if method == "sql":
-        from ..storage.pushdown import count_legacy_sql, native_sql_answers
-
-        with t.span("certain-answers", method=method):
-            # A persistent store runs the same guarded compiled plan the
-            # in-memory executor would, translated to one SELECT inside
-            # its integer-encoded mirror; answers come back as columnar
-            # code batches, never per-row decoded tuples.  Off-store (or
-            # for an untranslatable plan) the legacy formula-SQL path
-            # loads a fresh in-memory connection per call.
-            if open_query.in_fo:
-                formula = _guarded_open_rewriting(open_query)
-                compiled = plan_cache.get_or_compile(
-                    formula, db, open_query.free)
-                rows = native_sql_answers(compiled, db)
-                if rows is not None:
-                    return rows
-            count_legacy_sql()
-            return _certain_answers_sql(open_query, db)
-    raise ValueError(f"unknown method {method!r}")
+    return run(open_query, OPEN, db, options, tracer)
 
 
 def certain_answers_sql_query(open_query: OpenQuery, db: Database) -> str:
@@ -508,31 +356,13 @@ def _certain_answers_sql(
 
 
 def cross_validate_answers(
-    open_query: OpenQuery, db: Database, parallel_jobs: int = 0
+    open_query: OpenQuery, db: Database
 ) -> Dict[str, FrozenSet[Tuple]]:
-    """Answers from every applicable strategy (tests assert agreement).
+    """Answers from every applicable backend (tests assert agreement)."""
+    from .backends import BACKENDS
 
-    ``parallel_jobs > 0`` additionally runs the sharded parallel path
-    (both backends: tuple and columnar) with that worker count and no
-    size threshold, so even tiny test databases exercise real
-    partitioning and merging.
-    """
-    out = {"brute": certain_answers(open_query, db, "brute")}
-    if open_query.in_fo:
-        out["interpreted"] = certain_answers(open_query, db, "interpreted")
-        out["rewriting"] = certain_answers(open_query, db, "rewriting")
-        out["compiled"] = certain_answers(open_query, db, "compiled")
-        out["sql"] = certain_answers(open_query, db, "sql")
-        out["columnar"] = certain_answers(open_query, db, "columnar")
-        if parallel_jobs > 0:
-            from ..parallel import parallel_certain_answers
-
-            out["parallel"] = parallel_certain_answers(
-                open_query, db, jobs=parallel_jobs, min_facts=0,
-                shard_factor=1,
-            )
-            out["parallel-columnar"] = parallel_certain_answers(
-                open_query, db, jobs=parallel_jobs, min_facts=0,
-                shard_factor=1, backend="columnar",
-            )
-    return out
+    return {
+        name: certain_answers(open_query, db, name)
+        for name, backend in BACKENDS.items()
+        if open_query.in_fo or not backend.needs_fo
+    }

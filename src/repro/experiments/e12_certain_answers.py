@@ -2,10 +2,9 @@
 
 Section 1 of the paper: free variables can be treated as constants, so
 the Boolean machinery answers non-Boolean queries too.  This experiment
-validates the answer strategies against each other — including the
-sharded parallel executor, forced through real partitioning and forked
-workers even at these sizes — and measures the single-SELECT SQL path
-on growing databases.
+validates every backend against the others and measures the
+single-SELECT SQL path on growing databases, next to the tuple-at-a-time
+rewriting evaluator and the columnar executor.
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ from ..cqa.certain_answers import (
     certain_answers,
     cross_validate_answers,
 )
-from ..parallel import parallel_certain_answers, shutdown_pools
 from ..workloads.generators import random_small_database
 from ..workloads.poll import random_poll_database
 from ..workloads.queries import poll_qa, q3
@@ -30,7 +28,7 @@ def agreement_table(trials: int = 20, seed: int = 17) -> Table:
     rng = random.Random(seed)
     table = Table(
         "E12a: certain-answer strategies agree "
-        "(brute / interpreted / rewriting / compiled / SQL / parallel)",
+        "(brute / interpreted / rewriting / compiled / columnar / SQL)",
         ["query", "free vars", "trials", "methods", "all agree"],
     )
     cases = [
@@ -45,7 +43,7 @@ def agreement_table(trials: int = 20, seed: int = 17) -> Table:
         for _ in range(trials):
             db = random_small_database(query, rng, domain_size=3,
                                        facts_per_relation=4)
-            results = cross_validate_answers(open_query, db, parallel_jobs=2)
+            results = cross_validate_answers(open_query, db)
             n_methods = max(n_methods, len(results))
             if len(set(results.values())) != 1:
                 agree = False
@@ -60,28 +58,20 @@ def scaling_table(people_sizes=(10, 40, 160), seed: int = 18) -> Table:
     table = Table(
         "E12b: one SQL SELECT returns the whole certain-answer set",
         ["people", "facts", "answers", "t_sql(s)", "t_rewriting(s)",
-         "t_parallel(s)"],
+         "t_columnar(s)"],
     )
     for people in people_sizes:
         db = random_poll_database(people, max(3, people // 4),
                                   conflict_rate=0.5, rng=rng)
         answers_sql, t_sql = timed(certain_answers, open_query, db, "sql")
         answers_rw, t_rw = timed(certain_answers, open_query, db, "rewriting")
-        # Force real sharded execution (no serial fallback) so the table
-        # exercises partitioning + forked workers even at these sizes;
-        # a second call reuses the warm pool, which is what we time.
-        parallel_certain_answers(open_query, db, jobs=2, min_facts=0,
-                                 shard_factor=2)
-        answers_par, t_par = timed(parallel_certain_answers, open_query, db,
-                                   jobs=2, min_facts=0, shard_factor=2)
-        assert answers_sql == answers_rw == answers_par
-        table.add_row(people, db.size(), len(answers_sql), t_sql, t_rw, t_par)
+        answers_col, t_col = timed(certain_answers, open_query, db,
+                                   "columnar")
+        assert answers_sql == answers_rw == answers_col
+        table.add_row(people, db.size(), len(answers_sql), t_sql, t_rw, t_col)
     return table
 
 
 def run(seed: int = 17) -> List[Table]:
     """All E12 tables."""
-    try:
-        return [agreement_table(seed=seed), scaling_table(seed=seed + 1)]
-    finally:
-        shutdown_pools()  # don't leak forked workers into later experiments
+    return [agreement_table(seed=seed), scaling_table(seed=seed + 1)]

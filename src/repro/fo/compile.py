@@ -85,7 +85,7 @@ class CompiledQuery:
     ``free == ()`` and is queried with :meth:`holds`.
     """
 
-    __slots__ = ("formula", "free", "plan", "constants")
+    __slots__ = ("formula", "free", "plan", "constants", "__weakref__")
 
     def __init__(self, formula: Formula, free: Cols, plan: Plan, constants: Tuple):
         self.formula = formula
@@ -510,14 +510,7 @@ class PlanCache:
     recompiles.  Counters make cache behaviour observable
     (:meth:`stats`), which the engine exposes as its stats hook.
 
-    **Fork safety.**  The cache is plain per-process state: a worker
-    forked by :mod:`repro.parallel` inherits a snapshot of the parent's
-    entries (so pre-compiled plans are hits with no recompilation), but
-    from that point the two caches evolve independently — worker-side
-    hits/misses never appear in the parent's :meth:`stats`, and vice
-    versa.  The pool ships worker-side counter deltas back with each
-    result; they are accumulated under ``worker_plan_cache`` in the
-    ``parallel`` section of ``engine.metrics()``.
+    The cache is plain per-process state.
     """
 
     __slots__ = ("maxsize", "hits", "misses", "evictions", "_entries")

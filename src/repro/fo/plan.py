@@ -79,7 +79,7 @@ class Plan:
 
     Nodes are plain slotted objects — constructors do not validate.
     The structural contract every consumer (the :class:`Executor`, the
-    incremental deltas, the parallel workers) relies on is pinned as
+    columnar executor, the SQL compiler, the incremental deltas) relies on is pinned as
     invariants PV001–PV013 in :mod:`repro.analysis.verifier`; set
     ``REPRO_VERIFY_PLANS=1`` to check it after every compile.
     """

@@ -1,8 +1,8 @@
 """Observability: structured tracing, plan profiling, unified metrics.
 
-The engine has six execution strategies (interpreted, rewriting,
-compiled, sql, incremental, parallel); this package makes all of them
-*measurable* instead of inferable from end-to-end wall clock:
+The engine has several execution backends (brute, interpreted,
+rewriting, compiled, columnar, sql) plus incremental views; this
+package makes all of them *measurable* instead of inferable from end-to-end wall clock:
 
 * :mod:`repro.obs.trace` — a :class:`Tracer` with nestable spans
   (monotonic-clock timings, counters, tags), a zero-overhead no-op
@@ -11,23 +11,22 @@ compiled, sql, incremental, parallel); this package makes all of them
   (:class:`PlanProfile`) and the ``EXPLAIN ANALYZE``-style renderers
   behind ``repro plan --analyze`` and ``repro certain --trace``;
 * :mod:`repro.obs.metrics` — :class:`EngineMetrics` /
-  :class:`MetricsRegistry`, the one consistent schema subsuming the
-  former ``plan_cache_stats`` / ``parallel_stats`` / ``view_stats``
-  static trio (now deprecated shims on the engine);
-* :mod:`repro.obs.config` — :class:`RunConfig`, consolidating the
-  env-var sprawl (``REPRO_MAX_WORKERS``, ``REPRO_PARALLEL_MIN_FACTS``,
-  ``REPRO_TRACE_FILE``, ``BENCH_PARALLEL_SMOKE``) behind one dataclass
-  with env vars as fallback defaults;
+  :class:`MetricsRegistry`, one consistent schema for every counter
+  source;
+* :mod:`repro.obs.config` — :class:`RunConfig`, the runtime knobs
+  (``REPRO_TRACE_FILE``, ``REPRO_SQL_STMT_CACHE``,
+  ``REPRO_COLUMNAR_MIN_FACTS``) behind one dataclass with env vars as
+  fallback defaults;
 * :mod:`repro.obs.options` — :class:`ExecutionOptions`, the frozen
-  per-call request object (method, jobs, trace, routing gates) built
+  per-call request object (method, trace, routing gate) built
   on :class:`RunConfig`, with a strict JSON round-trip that doubles as
   the ``repro serve`` wire form (``docs/serve.schema.json``);
 * :mod:`repro.obs.schema` — a dependency-free JSON-Schema-subset
   validator used by the ``trace-smoke`` CI job against
   ``docs/trace.schema.json``.
 
-See ``docs/OBSERVABILITY.md`` for the span model, the metrics schema,
-and the migration table from the old static stats endpoints.
+See ``docs/OBSERVABILITY.md`` for the span model and the metrics
+schema.
 """
 
 from .config import RunConfig

@@ -1,24 +1,14 @@
 """Unified engine metrics: one schema over every subsystem's counters.
 
-Before this module the engine exposed three *static* stats endpoints —
-``CertaintyEngine.plan_cache_stats()`` / ``parallel_stats()`` /
-``view_stats()`` — process-global, inconsistently shaped, and
-undocumented.  They survive as deprecated shims; the replacement is
-
 >>> engine = CertaintyEngine(query)          # doctest: +SKIP
 >>> engine.metrics()                         # doctest: +SKIP
-EngineMetrics(plan_cache={...}, parallel={...}, views={...})
+EngineMetrics(plan_cache={...}, views={...}, extra={...})
 
-:class:`EngineMetrics` is the typed snapshot (``schema_version`` 1);
-:class:`MetricsRegistry` is the extension point — subsystems register
-a named source callable, and :func:`collect_metrics` snapshots them
-all.  The parallel source includes the **merged worker-side counters**
-(``worker_plan_cache``, ``worker_rows``) that forked workers report
-back per call, fixing the old behaviour where ``repro certain --jobs
---stats`` silently dropped everything that happened inside workers.
+:class:`EngineMetrics` is the typed snapshot; :class:`MetricsRegistry`
+is the extension point — subsystems register a named source callable,
+and :func:`collect_metrics` snapshots them all.
 
-See ``docs/OBSERVABILITY.md`` for the full schema and the migration
-table from the old static endpoints.
+See ``docs/OBSERVABILITY.md`` for the full schema.
 """
 
 from __future__ import annotations
@@ -44,11 +34,6 @@ class EngineMetrics:
 
     ``plan_cache``
         LRU compilation cache: hits, misses, evictions, size, maxsize.
-    ``parallel``
-        Sharded executor: runs, parallel_runs, serial_fallbacks (with
-        per-reason breakdown), shard/worker counts, partition/merge/
-        exec wall time, and the merged worker-side counters
-        (``worker_plan_cache``, ``worker_rows``).
     ``views``
         Incremental maintenance: views registered, commits seen,
         deltas applied, rows touched, fallback (dirty-subtree)
@@ -58,7 +43,6 @@ class EngineMetrics:
     """
 
     plan_cache: Dict[str, int]
-    parallel: Dict[str, Any]
     views: Dict[str, int]
     extra: Dict[str, Dict[str, Any]] = field(default_factory=dict)
     schema_version: int = SCHEMA_VERSION
@@ -68,7 +52,6 @@ class EngineMetrics:
         out: Dict[str, Any] = {
             "schema_version": self.schema_version,
             "plan_cache": dict(self.plan_cache),
-            "parallel": dict(self.parallel),
             "views": dict(self.views),
         }
         for name, counters in self.extra.items():
@@ -83,13 +66,12 @@ class MetricsRegistry:
     """Named counter sources, snapshotted together.
 
     A *source* is a zero-argument callable returning a flat(ish) dict
-    of counters.  The three core sources (``plan_cache``, ``parallel``,
-    ``views``) are pre-registered on :data:`default_registry`;
+    of counters.  The two core sources (``plan_cache``, ``views``) are pre-registered on :data:`default_registry`;
     subsystems added later (or tests) can register their own and have
     them appear under :attr:`EngineMetrics.extra` automatically.
     """
 
-    CORE = ("plan_cache", "parallel", "views")
+    CORE = ("plan_cache", "views")
 
     def __init__(self) -> None:
         self._sources: Dict[str, Callable[[], Dict[str, Any]]] = {}
@@ -111,7 +93,6 @@ class MetricsRegistry:
         extra = {k: v for k, v in snapshots.items() if k not in self.CORE}
         return EngineMetrics(
             plan_cache=snapshots.get("plan_cache", {}),
-            parallel=snapshots.get("parallel", {}),
             views=snapshots.get("views", {}),
             extra=extra,
         )
@@ -121,12 +102,6 @@ def _plan_cache_source() -> Dict[str, Any]:
     from ..fo.compile import plan_cache
 
     return plan_cache.stats()
-
-
-def _parallel_source() -> Dict[str, Any]:
-    from ..parallel import parallel_stats
-
-    return parallel_stats()
 
 
 def _views_source() -> Dict[str, Any]:
@@ -150,7 +125,6 @@ def _storage_source() -> Dict[str, Any]:
 def _make_default_registry() -> MetricsRegistry:
     registry = MetricsRegistry()
     registry.register("plan_cache", _plan_cache_source)
-    registry.register("parallel", _parallel_source)
     registry.register("views", _views_source)
     registry.register("columnar", _columnar_source)
     registry.register("storage", _storage_source)

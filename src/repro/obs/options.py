@@ -1,29 +1,20 @@
 """``ExecutionOptions``: one frozen request object for every engine call.
 
-The engine grew one keyword at a time — ``method=``, ``jobs=``,
-``tracer=``, ``config=`` — plus env-var gates (``REPRO_SQL_MIN_FACTS``,
-``REPRO_COLUMNAR_MIN_FACTS``, ...) scattered across the SQL and
-columnar routers.  :class:`ExecutionOptions` consolidates the whole
-call surface into a single frozen dataclass built on
-:class:`repro.obs.config.RunConfig` (explicit fields beat env
-fallbacks), with a strict JSON round-trip (:meth:`to_dict` /
-:meth:`from_dict`) so the same object *is* the wire form of a
-``repro serve`` request body (``docs/serve.schema.json``).
+:class:`ExecutionOptions` holds the whole call surface in a single
+frozen dataclass built on :class:`repro.obs.config.RunConfig` (explicit
+fields beat env fallbacks), with a strict JSON round-trip
+(:meth:`to_dict` / :meth:`from_dict`) so the same object *is* the wire
+form of a ``repro serve`` request body (``docs/serve.schema.json``).
 
 Accepted by :meth:`repro.cqa.engine.CertaintyEngine.certain`,
 :meth:`~repro.cqa.engine.CertaintyEngine.certain_answers`, and the
 module-level :func:`repro.cqa.certain_answers.certain_answers` as the
 ``options`` parameter, which also takes a bare method string
-(``"compiled"``) as blessed shorthand.  The legacy ``method=`` /
-``jobs=`` / ``config=`` keywords remain as shims that fold into an
-``ExecutionOptions`` and raise :class:`DeprecationWarning` — escalated
-to errors for repro-internal callers by the ``filterwarnings`` entry in
-``pyproject.toml``.
+(``"compiled"``) as shorthand.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, fields, replace
 from typing import Any, Dict, Mapping, Optional, Tuple, Union
 
@@ -34,34 +25,24 @@ __all__ = [
     "KNOWN_METHODS",
     "OptionsError",
     "close_tracer",
-    "merge_legacy_options",
     "open_tracer",
 ]
 
-#: Every accepted ``method`` value: ``auto`` plus the engine's
-#: strategies (:data:`repro.cqa.engine.METHODS`).
+#: Every accepted ``method`` value: ``auto`` plus the backend names
+#: (:data:`repro.cqa.backends.METHODS`).
 KNOWN_METHODS: Tuple[str, ...] = (
-    "auto", "brute", "interpreted", "rewriting", "compiled", "sql",
-    "parallel", "columnar",
+    "auto", "brute", "interpreted", "rewriting", "compiled", "columnar",
+    "sql",
 )
-
-#: Fields that require a positive int when set.
-_POSITIVE_FIELDS = ("jobs", "max_workers", "shard_factor")
 
 #: Fields that require a non-negative int when set (0 is meaningful:
 #: "no threshold" / "cache disabled").
-_NONNEGATIVE_FIELDS = (
-    "parallel_min_facts", "sql_min_facts", "sql_stmt_cache",
-    "columnar_min_facts",
-)
+_NONNEGATIVE_FIELDS = ("sql_stmt_cache", "columnar_min_facts")
 
 #: RunConfig fields an ExecutionOptions shares (same names, same
-#: semantics); used to lift a legacy ``config=RunConfig`` and to build
-#: :meth:`ExecutionOptions.run_config`.
+#: semantics); used to build :meth:`ExecutionOptions.run_config`.
 _SHARED_CONFIG_FIELDS = (
-    "jobs", "max_workers", "parallel_min_facts", "shard_factor",
-    "trace", "trace_file", "sql_min_facts", "sql_stmt_cache",
-    "columnar_min_facts",
+    "trace", "trace_file", "sql_stmt_cache", "columnar_min_facts",
 )
 
 
@@ -74,25 +55,18 @@ class ExecutionOptions:
     """How one ``certain`` / ``certain_answers`` call should execute.
 
     ``method``
-        Strategy name, or ``"auto"`` for complexity-based routing
-        (compiled when the query is in FO, upgraded to ``sql`` /
-        ``columnar`` when their routers say the backend pays off,
-        ``brute`` otherwise).  ``auto`` plus ``jobs`` selects
-        ``parallel``, mirroring the CLI's ``--jobs`` semantics.
-    ``jobs``
-        Worker count for the parallel path (None: CPU count, capped
-        by ``max_workers``).
+        Backend name, or ``"auto"`` for the one routing rule of
+        :func:`repro.cqa.backends.route` (``brute`` outside FO,
+        ``columnar`` when its cost gate says batching pays, otherwise
+        ``compiled``).
     ``trace`` / ``trace_file``
         Collect spans and per-operator profiles; ``trace_file``
         additionally appends span JSONL after the call (and implies
         ``trace``).  When the caller passes no explicit ``tracer=``,
         the engine creates and flushes one from these fields.
-    ``max_workers`` / ``parallel_min_facts`` / ``shard_factor``
-        Parallel-executor knobs (env fallbacks: ``REPRO_MAX_WORKERS``,
-        ``REPRO_PARALLEL_MIN_FACTS``).
-    ``sql_min_facts`` / ``sql_stmt_cache``
-        SQL-pushdown gates (env fallbacks: ``REPRO_SQL_MIN_FACTS``,
-        ``REPRO_SQL_STMT_CACHE``).
+    ``sql_stmt_cache``
+        Statement-cache capacity of the ``sql`` method's sqlite mirror
+        (env fallback: ``REPRO_SQL_STMT_CACHE``).
     ``columnar_min_facts``
         Size gate of the vectorized router (env fallback:
         ``REPRO_COLUMNAR_MIN_FACTS``).
@@ -102,13 +76,8 @@ class ExecutionOptions:
     """
 
     method: str = "auto"
-    jobs: Optional[int] = None
     trace: bool = False
     trace_file: Optional[str] = None
-    max_workers: Optional[int] = None
-    parallel_min_facts: Optional[int] = None
-    shard_factor: Optional[int] = None
-    sql_min_facts: Optional[int] = None
     sql_stmt_cache: Optional[int] = None
     columnar_min_facts: Optional[int] = None
 
@@ -118,13 +87,6 @@ class ExecutionOptions:
                 f"unknown method {self.method!r}; expected one of "
                 f"{KNOWN_METHODS}"
             )
-        for name in _POSITIVE_FIELDS:
-            value = getattr(self, name)
-            if value is not None and (
-                not isinstance(value, int) or isinstance(value, bool)
-                or value < 1
-            ):
-                raise OptionsError(f"{name} must be a positive integer")
         for name in _NONNEGATIVE_FIELDS:
             value = getattr(self, name)
             if value is not None and (
@@ -136,11 +98,6 @@ class ExecutionOptions:
             raise OptionsError("trace must be a boolean")
         if self.trace_file is not None and not isinstance(self.trace_file, str):
             raise OptionsError("trace_file must be a string")
-        if self.jobs is not None and self.method not in ("auto", "parallel"):
-            raise OptionsError(
-                f"jobs= only applies to method='parallel', not "
-                f"{self.method!r}"
-            )
 
     # -- construction -------------------------------------------------
 
@@ -226,18 +183,6 @@ class ExecutionOptions:
     # -- resolution ---------------------------------------------------
 
     @property
-    def resolved_method(self) -> str:
-        """``method`` with the ``auto`` + ``jobs`` shorthand applied.
-
-        Data-dependent ``auto`` routing (SQL pushdown, columnar cost
-        model) still happens inside the engine; this only settles the
-        part that is knowable without a database.
-        """
-        if self.method == "auto" and self.jobs is not None:
-            return "parallel"
-        return self.method
-
-    @property
     def tracing(self) -> bool:
         """Is tracing requested (explicitly or via a trace file)?"""
         return self.trace or self.trace_file is not None
@@ -246,13 +191,8 @@ class ExecutionOptions:
         """The :class:`RunConfig` this call runs under: set fields win,
         unset fields fall back to the environment."""
         return RunConfig.from_env(
-            jobs=self.jobs,
-            max_workers=self.max_workers,
-            parallel_min_facts=self.parallel_min_facts,
-            shard_factor=self.shard_factor,
             trace=self.trace or None,
             trace_file=self.trace_file,
-            sql_min_facts=self.sql_min_facts,
             sql_stmt_cache=self.sql_stmt_cache,
             columnar_min_facts=self.columnar_min_facts,
         )
@@ -288,72 +228,3 @@ def close_tracer(
     """Flush an engine-owned tracer's span JSONL when configured."""
     if own and tracer is not None and opts.trace_file:
         tracer.write_jsonl(opts.trace_file)
-
-
-_UNSET: Any = object()
-
-
-def merge_legacy_options(
-    options: Union[None, str, Mapping[str, Any], ExecutionOptions],
-    *,
-    where: str,
-    method: Any = _UNSET,
-    jobs: Any = _UNSET,
-    config: Any = _UNSET,
-    stacklevel: int = 3,
-) -> ExecutionOptions:
-    """Fold the deprecated ``method=`` / ``jobs=`` / ``config=``
-    keywords into an :class:`ExecutionOptions`.
-
-    Passing any of them (non-``None``) warns with
-    :class:`DeprecationWarning` attributed to the *caller* of ``where``
-    — which the ``filterwarnings`` entry in ``pyproject.toml``
-    escalates to an error for repro-internal callers, so the library
-    itself can never regress onto its own deprecated surface.  Explicit
-    fields of ``options`` win over the legacy keywords; a legacy
-    ``config=RunConfig`` contributes only fields ``options`` leaves
-    unset.
-    """
-    opts = ExecutionOptions.coerce(options)
-    legacy = []
-    if method is not _UNSET and method is not None:
-        legacy.append("method=")
-    if jobs is not _UNSET and jobs is not None:
-        legacy.append("jobs=")
-    if config is not _UNSET and config is not None:
-        legacy.append("config=")
-    if not legacy:
-        return opts
-    warnings.warn(
-        f"{where}: the {'/'.join(legacy)} keyword(s) are deprecated; "
-        f"pass ExecutionOptions (or a method string) as `options` "
-        f"instead — see docs/SERVE.md for the migration table",
-        DeprecationWarning,
-        stacklevel=stacklevel,
-    )
-    updates: Dict[str, Any] = {}
-    if method is not _UNSET and method is not None and opts.method == "auto":
-        updates["method"] = method
-    if jobs is not _UNSET and jobs is not None and opts.jobs is None:
-        updates["jobs"] = jobs
-    if updates:
-        opts = replace(opts, **updates)
-    if config is not _UNSET and config is not None:
-        lifted: Dict[str, Any] = {}
-        for name in _SHARED_CONFIG_FIELDS:
-            value = getattr(config, name, None)
-            if name == "trace":
-                if value and not opts.trace:
-                    lifted["trace"] = True
-            elif name == "jobs":
-                # The historical contract lifted config.jobs only for
-                # the parallel path; keep that so a serial method plus
-                # a jobs-bearing RunConfig stays legal.
-                if (value is not None and opts.jobs is None
-                        and opts.method in ("auto", "parallel")):
-                    lifted["jobs"] = value
-            elif value is not None and getattr(opts, name) is None:
-                lifted[name] = value
-        if lifted:
-            opts = replace(opts, **lifted)
-    return opts

@@ -61,6 +61,10 @@ class Span:
         """Add ``n`` to the span's ``name`` counter."""
         self.counters[name] = self.counters.get(name, 0) + n
 
+    def tag(self, **tags: Any) -> None:
+        """Add (or overwrite) tags once the span is open."""
+        self.tags.update(tags)
+
     def __repr__(self) -> str:
         return f"Span({self.name!r}, {self.duration_ms:.3f}ms)"
 
@@ -120,8 +124,8 @@ class Tracer:
     def record(self, name: str, seconds: float, **tags: Any) -> Span:
         """A completed span with an externally measured duration.
 
-        Used where the work happened elsewhere — e.g. per-worker shard
-        execution timed inside a forked process and reported back.
+        Used where the work happened elsewhere — e.g. timed inside
+        another process and reported back.
         """
         span = self._make(name, tags)
         span.end = time.perf_counter()
@@ -230,6 +234,9 @@ class _NullSpan:
     duration_ms = 0.0
 
     def count(self, name: str, n: int = 1) -> None:
+        pass
+
+    def tag(self, **tags: Any) -> None:
         pass
 
     def __enter__(self) -> "_NullSpan":

@@ -2,17 +2,17 @@
 
 ``repro serve --db-path STORE`` boots a daemon that owns one
 :class:`~repro.storage.store.PersistentDatabase` and keeps every
-expensive artifact warm across requests — the FO plan cache, the SQL
-statement cache and integer mirror, the forked parallel worker pools,
-and registered incremental views.  Requests carry the same
+expensive artifact warm across requests — the FO plan cache, the
+columnar store, the SQL statement cache and integer mirror, and
+registered incremental views.  Requests carry the same
 :class:`repro.obs.ExecutionOptions` document the library takes, so the
 wire API and the Python API describe execution identically.
 
 Endpoints (see ``docs/SERVE.md`` and ``docs/serve.schema.json``):
 
 - ``POST /v1/certain`` / ``POST /v1/answers`` — run a query with full
-  method routing (brute/interpreted/rewriting/compiled/sql/parallel/
-  columnar or ``auto``).
+  method routing (brute/interpreted/rewriting/compiled/columnar/sql or
+  ``auto``).
 - ``POST /v1/facts`` — a batched write through the changelog (and the
   WAL, when serving a persistent store).
 - ``POST /v1/views`` / ``GET /v1/views`` /

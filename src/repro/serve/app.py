@@ -3,9 +3,9 @@
 One :class:`ReproServer` owns one database (usually a
 :class:`~repro.storage.store.PersistentDatabase`) for its whole
 lifetime, so everything the batch CLI rebuilds per invocation stays
-warm across requests: the FO plan cache, the SQL statement cache and
-integer-encoded mirror, the forked parallel worker pools, and every
-registered incremental view.
+warm across requests: the FO plan cache, the columnar store, the SQL
+statement cache and integer-encoded mirror, and every registered
+incremental view.
 
 Concurrency model
 -----------------
@@ -17,9 +17,9 @@ batches: any number of reads (``/v1/certain``, ``/v1/answers``,
 view-change reads) overlap each other, while a ``/v1/facts`` batch
 holds the database exclusively — so a read never observes a torn
 batch, and ``clock`` values in responses are taken under the same
-lock as the answers they describe.  Admission control reuses the
-parallel layer's sizing rule (:func:`repro.parallel.admission_slots`):
-at most that many engine calls execute concurrently; the rest queue.
+lock as the answers they describe.  Admission control bounds every
+engine call: at most ``os.cpu_count()`` execute concurrently; the rest
+queue.
 
 Long-polling
 ------------
@@ -60,7 +60,6 @@ from ..incremental.views import StaleVersionError, View, view_manager
 from ..obs.metrics import collect_metrics
 from ..obs.options import ExecutionOptions, OptionsError
 from ..obs.trace import Tracer
-from ..parallel import admission_slots, release_database
 from .http import HttpError, Request, json_body, read_request, response_bytes
 from .protocol import (
     SCHEMA_VERSION,
@@ -199,24 +198,19 @@ class ReproServer:
     host, port:
         Bind address; ``port=0`` picks a free port (read it back from
         :attr:`port` after :meth:`start`).
-    jobs:
-        Admission width *and* the default worker count for
-        ``method="parallel"`` requests that do not set their own.
     trace_file:
         Append every request's span tree to this JSONL file.
     """
 
     def __init__(self, db: Database, *, host: str = "127.0.0.1",
-                 port: int = 8100, jobs: Optional[int] = None,
+                 port: int = 8100,
                  trace_file: Optional[str] = None,
                  history_limit: int = 256):
         self.db = db
         self.host = host
         self.port = port
-        self.jobs = jobs
         self.trace_file = trace_file
-        self._slots = admission_slots(jobs if jobs is not None
-                                      else (os.cpu_count() or 1))
+        self._slots = os.cpu_count() or 1
         self._rw = _RWLock()
         self._admission: Optional[asyncio.Semaphore] = None
         self._executor = ThreadPoolExecutor(
@@ -305,7 +299,6 @@ class ReproServer:
         with contextlib.suppress(ValueError):
             self.db.unsubscribe(self._on_commit)
         self._executor.shutdown(wait=True)
-        release_database(self.db)
         if hasattr(self.db, "close") and getattr(self.db, "is_open", False):
             self.db.close()
 
@@ -451,12 +444,6 @@ class ReproServer:
             self._engines.pop(next(iter(self._engines)))
         return engine
 
-    def _apply_default_jobs(self, opts: ExecutionOptions) -> ExecutionOptions:
-        if opts.method == "parallel" and opts.jobs is None \
-                and self.jobs is not None:
-            return opts.replace(jobs=self.jobs)
-        return opts
-
     async def _run_read(self, fn: Callable[[], Any]) -> Any:
         """Run one engine call in the pool, under admission control."""
         assert self._admission is not None and self._loop is not None
@@ -475,7 +462,7 @@ class ReproServer:
                           tracer: Optional[Tracer]) -> Dict[str, Any]:
         body = _expect(json_body(request), ("query", "options"), ("query",))
         text = _string_field(body, "query")
-        opts = self._apply_default_jobs(_options_field(body))
+        opts = _options_field(body)
         engine = self._engine_for(text)
         t0 = time.perf_counter()
         async with self._rw.read_locked():
@@ -488,7 +475,7 @@ class ReproServer:
                 raise HttpError(422, "not-in-fo", str(exc))
         return {
             "query": text,
-            "method": opts.resolved_method,
+            "method": opts.method,
             "options": opts.to_dict(),
             "clock": clock,
             "certain": bool(answer),
@@ -501,7 +488,7 @@ class ReproServer:
                        ("query",))
         text = _string_field(body, "query")
         free = _free_field(body)
-        opts = self._apply_default_jobs(_options_field(body))
+        opts = _options_field(body)
         engine = self._engine_for(text)
         variables = tuple(Variable(n) for n in free)
         t0 = time.perf_counter()
@@ -519,7 +506,7 @@ class ReproServer:
         return {
             "query": text,
             "free": list(free),
-            "method": opts.resolved_method,
+            "method": opts.method,
             "options": opts.to_dict(),
             "clock": clock,
             "answers": rows_to_wire(rows),

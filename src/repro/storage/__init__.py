@@ -15,15 +15,12 @@ See ``docs/STORAGE.md`` for the file formats and recovery protocol.
 
 from .chaos import run_chaos
 from .pushdown import (
-    DEFAULT_SQL_MIN_FACTS,
     DEFAULT_SQL_STMT_CACHE,
     SQLiteMirror,
     mirror_capable,
     native_sql_answers,
     native_sql_holds,
-    prefer_sql,
     sql_mirror,
-    sql_min_facts,
     sql_stmt_cache_size,
 )
 from .sqlgen import CompiledSQL, compile_plan, supports_plan
@@ -62,10 +59,7 @@ __all__ = [
     "mirror_capable",
     "native_sql_answers",
     "native_sql_holds",
-    "prefer_sql",
-    "sql_min_facts",
     "sql_stmt_cache_size",
-    "DEFAULT_SQL_MIN_FACTS",
     "DEFAULT_SQL_STMT_CACHE",
     "CompiledSQL",
     "compile_plan",

@@ -29,12 +29,10 @@ update share one sqlite transaction, so the file is never at an
 in-between version: a crash rolls back to the previous clock and the
 next attach rebuilds.
 
-Routing: :func:`prefer_sql` is the cost gate ``method="auto"`` consults
-*before* :func:`repro.columnar.prefer_columnar`.  SQL wins when the
-database is mirror-backed (plain in-memory databases are never
-rerouted), the plan has a native translation (QP110 reports the rare
-unsupported shapes), and the store holds at least
-``REPRO_SQL_MIN_FACTS`` facts.
+Routing: ``method="auto"`` never picks this backend — no measured
+store size made it faster than the best in-memory backend
+(``docs/PERFORMANCE.md``).  It runs only when ``method="sql"`` names
+it.
 """
 
 from __future__ import annotations
@@ -52,18 +50,13 @@ from ..columnar.relation import ColumnarRelation
 from ..db.changelog import Changelog
 from ..db.database import Database
 from ..fo.sql import decode_value, encode_value, table_name
-from ..obs.config import (
-    DEFAULT_SQL_MIN_FACTS,
-    DEFAULT_SQL_STMT_CACHE,
-    RunConfig,
-)
+from ..obs.config import DEFAULT_SQL_STMT_CACHE, RunConfig
 from .sqlgen import ADOM_TABLE, compile_plan, plan_relations, supports_plan
 from .stats import STATS
 
-__all__ = ["SQLiteMirror", "sql_mirror", "mirror_capable", "prefer_sql",
+__all__ = ["SQLiteMirror", "sql_mirror", "mirror_capable",
            "native_sql_answers", "native_sql_holds", "count_legacy_sql",
-           "sql_min_facts", "sql_stmt_cache_size", "DEFAULT_SQL_MIN_FACTS",
-           "DEFAULT_SQL_STMT_CACHE", "MIRROR_FORMAT"]
+           "sql_stmt_cache_size", "DEFAULT_SQL_STMT_CACHE", "MIRROR_FORMAT"]
 
 MIRROR_FILE = "mirror.sqlite"
 _MIRROR_ATTR = "_sql_mirror"
@@ -74,11 +67,6 @@ _INTERNAL_TABLES = frozenset((_META_TABLE, _DICT_TABLE, ADOM_TABLE))
 #: Bumped whenever the on-disk layout changes; a mismatch (including
 #: any pre-integer TEXT mirror) forces one full rebuild.
 MIRROR_FORMAT = "2"
-
-
-def sql_min_facts() -> int:
-    """The ``REPRO_SQL_MIN_FACTS`` routing threshold."""
-    return RunConfig.from_env().resolved_sql_min_facts()
 
 
 def sql_stmt_cache_size() -> int:
@@ -501,30 +489,3 @@ def native_sql_holds(compiled, db: Database) -> Optional[bool]:
 def count_legacy_sql() -> None:
     """Account one formula-SQL fallback execution."""
     STATS["pushdown"]["legacy_sql"] += 1
-
-
-def prefer_sql(compiled, db: Database, config=None) -> bool:
-    """Should ``method="auto"`` push this run down to the mirror?
-
-    Checked before :func:`repro.columnar.prefer_columnar`.  Three
-    gates: the database must be mirror-backed (plain in-memory
-    databases keep their current routing untouched), every plan node
-    must have a native SQL translation (QP110 reports the unsupported
-    shapes — ``Adom*`` plans now qualify, served by the maintained
-    ``repro_adom`` table), and the store must hold at least
-    :func:`sql_min_facts` facts.  ``config`` (a
-    :class:`repro.obs.RunConfig`) overrides the env-derived size
-    threshold — how :class:`repro.obs.ExecutionOptions` reaches this
-    gate.
-    """
-    if not mirror_capable(db):
-        return False
-    if not supports_plan(compiled.plan):
-        STATS["pushdown"]["fallback_unsupported"] += 1
-        return False
-    threshold = (config.resolved_sql_min_facts() if config is not None
-                 else sql_min_facts())
-    if db.size() < threshold:
-        STATS["pushdown"]["fallback_small"] += 1
-        return False
-    return True

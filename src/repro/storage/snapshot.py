@@ -1,14 +1,13 @@
 """Atomic snapshots: the database's relations as int-column images.
 
 A snapshot is one self-contained file from which recovery can rebuild
-the whole fact store without replaying history.  The encoding reuses
-the fork-pool's wire forms (:mod:`repro.parallel.pool`): a snapshot-
-local :class:`~repro.columnar.dictionary.ValueDictionary` assigns dense
+the whole fact store without replaying history.  A snapshot-local
+:class:`~repro.columnar.dictionary.ValueDictionary` assigns dense
 codes to every domain value, each relation is stored as
 ``("C", n_rows, arity, [array('q') column bytes])`` — near-memcpy on
 both ends — and the whole document goes through ``marshal`` (``b"M"``
 prefix) with a transparent pickle fallback (``b"P"``) for exotic value
-types, exactly like the pool's row shipping.
+types.
 
 File layout (integers little-endian)::
 

@@ -32,13 +32,11 @@ def _fresh() -> Dict[str, Any]:
         "snapshot_bytes": 0,     # bytes of the most recent snapshot
         "snapshot_ms": 0.0,      # cumulative snapshot wall time
         "wal_pruned": 0,         # WAL segment files deleted
-        # SQL pushdown routing + native execution
+        # SQL pushdown (method="sql") execution
         "pushdown": {
             "routed_sql": 0,           # queries served by the mirror
             "native_sql": 0,           # of those, plan-IR→SQL native runs
             "legacy_sql": 0,           # formula-SQL fallback executions
-            "fallback_unsupported": 0,  # plan has no SQL translation (QP110)
-            "fallback_small": 0,       # below REPRO_SQL_MIN_FACTS
             "mirror_rebuilds": 0,      # full reloads of the sqlite mirror
             "mirror_delta_rows": 0,    # fact rows applied incrementally
             "adom_delta_rows": 0,      # active-domain refcount upserts

@@ -1,7 +1,7 @@
 """The persistent database: WAL-backed durability behind the Database API.
 
 :class:`PersistentDatabase` subclasses :class:`repro.db.database.Database`
-— every engine tier (interpreted, compiled, columnar, parallel, SQL)
+— every engine backend (interpreted, compiled, columnar, SQL, ...)
 accepts it unchanged — and adds a durable storage generation under one
 directory::
 
@@ -350,12 +350,6 @@ class PersistentDatabase(Database):
         if mirror is not None:
             mirror.close()
             delattr(self, "_sql_mirror")
-        # Retire any warm forked worker pools and cached shard layouts
-        # still pinned to this object, so close/reopen cycles in a
-        # long-running process never leak worker processes.
-        from ..parallel import release_database
-
-        release_database(self)
         self.unsubscribe(self._on_commit)
         if self._wal is not None:
             self._wal.close()

@@ -74,8 +74,7 @@ def adversarial_poll_database(
     repair's witness), while certain people like only towns outside
     their block.  Answer counts therefore stay small and controlled
     while the fact count — and the per-relation index mass the
-    monolithic executor must grind through — grows linearly, which is
-    exactly the shape the sharded parallel path is built for.
+    monolithic executor must grind through — grows linearly.
 
     Facts are bulk-loaded per relation via ``add_all``.
     """

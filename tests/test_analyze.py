@@ -4,8 +4,7 @@ Covers the cost estimator (tables stats, per-operator cardinalities,
 join-order ranking), the QP100-series rules, the unified
 :class:`AnalysisReport` in all three formats (pinned by
 ``docs/diagnostics.schema.json``), the golden workload/example corpus,
-a hypothesis property (every compiled plan verifies), and the QP101
-static-flag → runtime-fallback end-to-end demonstration.
+and a hypothesis property (every compiled plan verifies).
 """
 
 from __future__ import annotations
@@ -157,7 +156,11 @@ def fake_compiled(plan, free=()):
 
 class TestQPRules:
     def test_catalogue_is_complete(self):
-        assert sorted(QP_RULES) == [f"QP1{i:02d}" for i in range(13)]
+        # QP101-QP103 (parallel fallbacks) and QP110 (auto's SQL
+        # fallback) are retired with their subjects; codes are not reused.
+        retired = {"QP101", "QP102", "QP103", "QP110"}
+        assert sorted(QP_RULES) == [f"QP1{i:02d}" for i in range(13)
+                                    if f"QP1{i:02d}" not in retired]
         for info in QP_RULES.values():
             assert info.summary and info.code.startswith("QP1")
 
@@ -170,17 +173,11 @@ class TestQPRules:
         codes = [d.code for d in run_qp_rules(ctx)]
         assert "QP100" in codes
 
-    def test_qp103_and_qp104_on_adom_plan(self):
-        plan = Project(AdomProduct((x,)), (x,))
-        ctx = AnalysisContext(compiled=fake_compiled(plan, (x,)), free=(x,))
-        codes = {d.code for d in run_qp_rules(ctx)}
-        assert {"QP103", "QP104"} <= codes
-
     def test_qp104_only_for_boolean_adom_plan(self):
         plan = Project(AdomProduct((x,)), ())
         ctx = AnalysisContext(compiled=fake_compiled(plan, ()))
         codes = {d.code for d in run_qp_rules(ctx)}
-        assert "QP104" in codes and "QP103" not in codes
+        assert "QP104" in codes
 
     def test_qp106_on_bad_join_order(self):
         a = Scan(atom("A", [x], []))
@@ -190,61 +187,6 @@ class TestQPRules:
         ctx = AnalysisContext(cost=CostModel().estimate(plan))
         codes = {d.code for d in run_qp_rules(ctx)}
         assert {"QP105", "QP106"} <= codes
-
-    def test_qp110_unsupported_plan_on_large_store(self, tmp_path,
-                                                   monkeypatch):
-        from repro.fo.plan import Plan
-        from repro.storage import PersistentDatabase
-
-        class OpaquePlan(Plan):
-            __slots__ = ()
-
-            def __init__(self):
-                super().__init__((x,))
-
-        monkeypatch.setenv("REPRO_SQL_MIN_FACTS", "0")
-        db = PersistentDatabase(tmp_path / "store")
-        ctx = AnalysisContext(compiled=fake_compiled(OpaquePlan(), (x,)),
-                              free=(x,), db=db)
-        codes = {d.code for d in run_qp_rules(ctx)}
-        assert "QP110" in codes
-        db.close()
-
-    def test_qp110_silent_for_adom_plans(self, tmp_path, monkeypatch):
-        # The maintained repro_adom table gave Adom* plans a native
-        # translation: the old forced-fallback diagnostic must not fire.
-        from repro.storage import PersistentDatabase
-
-        monkeypatch.setenv("REPRO_SQL_MIN_FACTS", "0")
-        db = PersistentDatabase(tmp_path / "store")
-        plan = Project(AdomProduct((x,)), (x,))
-        ctx = AnalysisContext(compiled=fake_compiled(plan, (x,)),
-                              free=(x,), db=db)
-        assert "QP110" not in {d.code for d in run_qp_rules(ctx)}
-        db.close()
-
-    def test_qp110_silent_off_store_or_below_threshold(self, tmp_path,
-                                                       monkeypatch):
-        from repro.fo.plan import Plan
-        from repro.storage import PersistentDatabase
-
-        class OpaquePlan(Plan):
-            __slots__ = ()
-
-            def __init__(self):
-                super().__init__((x,))
-
-        # Plain in-memory database: never routed, never diagnosed.
-        ctx = AnalysisContext(compiled=fake_compiled(OpaquePlan(), (x,)),
-                              free=(x,), db=db_from({}))
-        assert "QP110" not in {d.code for d in run_qp_rules(ctx)}
-        # Store below the routing threshold: the fallback never bites.
-        monkeypatch.setenv("REPRO_SQL_MIN_FACTS", "1000")
-        db = PersistentDatabase(tmp_path / "store")
-        ctx = AnalysisContext(compiled=fake_compiled(OpaquePlan(), (x,)),
-                              free=(x,), db=db)
-        assert "QP110" not in {d.code for d in run_qp_rules(ctx)}
-        db.close()
 
     def test_qp112_constants_fire_with_qp108(self):
         report = analyze_text("P(x | y), not N('c' | y)")
@@ -321,18 +263,10 @@ class TestAnalysisReport:
         assert "QL004" in codes and "QP107" in codes
         assert report.verification is None and report.cost is None
 
-    def test_boolean_query_flags_qp101(self):
-        report = analyze_text("P(x | y), not N('c' | y)")
-        assert "QP101" in [d.code for d in report.diagnostics]
-
     def test_open_query_with_shard_variable_is_clean(self):
         report = analyze_query(poll_qa(), free=(Variable("p"),))
         codes = {d.code for d in report.diagnostics}
-        assert not codes & {"QP101", "QP102", "QP103"}
-
-    def test_no_shard_variable_flags_qp102(self):
-        report = analyze_text("Mayor(t | p)", free=(Variable("p"),))
-        assert "QP102" in [d.code for d in report.diagnostics]
+        assert not codes & {"QP101", "QP102", "QP103"}  # retired codes
 
     def test_unknown_free_variable_raises(self):
         from repro.core.query import QueryError
@@ -436,19 +370,19 @@ GOLDEN = {
     "q1": ("not in FO", None, ("QP107",)),
     "q2": ("not in FO", None, ("QP107",)),
     "q2_ex41": ("not in FO", None, ("QP107",)),
-    "q3": ("in FO", True, ("QP101", "QP105", "QP108", "QP112")),
+    "q3": ("in FO", True, ("QP105", "QP108", "QP112")),
     "q4": ("undecided (negation not weakly guarded)", None, ("QP107",)),
-    "q_hall_2": ("in FO", True, ("QP101", "QP105", "QP108", "QP112")),
-    "q_hall_3": ("in FO", True, ("QP101", "QP105", "QP108", "QP112")),
+    "q_hall_2": ("in FO", True, ("QP105", "QP108", "QP112")),
+    "q_hall_3": ("in FO", True, ("QP105", "QP108", "QP112")),
     "q_ex32_wg": ("not in FO", None, ("QP107",)),
     "q_gnfo": ("not in FO", None, ("QP107",)),
-    "q_ex611": ("in FO", True, ("QP101", "QP105", "QP108", "QP112")),
+    "q_ex611": ("in FO", True, ("QP105", "QP108", "QP112")),
     "poll_q1": ("not in FO", None, ("QP107",)),
     "poll_q2": ("not in FO", None, ("QP107",)),
-    "poll_qa": ("in FO", True, ("QP101",)),
-    "poll_qb": ("in FO", True, ("QP101",)),
-    "crm_deliverable": ("in FO", True, ("QP101",)),
-    "crm_blocked": ("in FO", True, ("QP101",)),
+    "poll_qa": ("in FO", True, ()),
+    "poll_qb": ("in FO", True, ()),
+    "crm_deliverable": ("in FO", True, ()),
+    "crm_blocked": ("in FO", True, ()),
     "crm_pilot_mismatch": ("not in FO", None, ("QP107",)),
 }
 
@@ -514,31 +448,3 @@ class TestVerifierProperty:
         report = verification_report(compiled.plan,
                                      expected_cols=compiled.free)
         assert report.ok and report.probe_safe
-
-
-# ----------------------------------------------------------------------
-# QP101 end to end: the static flag predicts the runtime fallback
-# ----------------------------------------------------------------------
-
-
-class TestQP101EndToEnd:
-    def test_static_flag_matches_runtime_fallback(self, rng):
-        from repro.cqa.certain_answers import OpenQuery
-        from repro.cqa.engine import CertaintyEngine
-        from repro.parallel import (
-            parallel_certain_answers,
-            reset_parallel_stats,
-        )
-        from repro.workloads.poll import random_poll_database
-
-        query = poll_qa()
-        flagged = [d.code for d in analyze_query(query).diagnostics]
-        assert "QP101" in flagged  # statically: parallel will fall back
-
-        db = random_poll_database(8, 3, rng=rng)
-        reset_parallel_stats()
-        parallel_certain_answers(OpenQuery(query, []), db,
-                                 jobs=2, min_facts=0)
-        stats = CertaintyEngine(query).metrics().parallel
-        assert stats["serial_fallbacks"] == 1
-        assert stats["fallback_reasons"] == {"boolean": 1}

@@ -85,45 +85,24 @@ class TestAnswers:
         assert "SELECT DISTINCT" in capsys.readouterr().out
 
 
-class TestJobsFlag:
-    def test_jobs_implies_parallel(self, capsys, poll_file):
-        assert main(["answers", QA, "--free", "p", "--db", poll_file,
-                     "--jobs", "2"]) == 0
-        out = capsys.readouterr().out
-        assert "certain answers (p)" in out
-        assert "'cal'" in out
+class TestRetiredFlags:
+    @pytest.mark.parametrize("command", ["certain", "answers", "serve"])
+    def test_jobs_flag_rejected(self, capsys, poll_file, command):
+        argv = [command, QA, "--db", poll_file, "--jobs", "2"]
+        if command == "answers":
+            argv += ["--free", "p"]
+        elif command == "serve":
+            argv = ["serve", "--db", poll_file, "--jobs", "2"]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
 
-    def test_explicit_parallel_method(self, capsys, poll_file):
-        assert main(["answers", QA, "--free", "p", "--db", poll_file,
-                     "--method", "parallel", "--jobs", "2"]) == 0
-        assert "'cal'" in capsys.readouterr().out
-
-    def test_certain_jobs_boolean_fallback(self, capsys, poll_file):
-        # Boolean certainty does not shard; --jobs still works and the
-        # engine silently runs the serial compiled plan.
-        assert main(["certain", QA, "--db", poll_file, "--jobs", "2",
-                     "--stats"]) == 0
-        out = capsys.readouterr().out
-        assert "CERTAINTY = True" in out
-        assert "(method: parallel" in out
-        payload = _stats_payload(out)
-        assert payload["parallel"]["fallback_reasons"].get("boolean", 0) >= 1
-
-    @pytest.mark.parametrize("method", ["brute", "compiled", "sql"])
-    def test_jobs_rejected_for_serial_methods(self, poll_file, method):
-        with pytest.raises(SystemExit, match="--jobs only applies"):
+    def test_parallel_method_rejected(self, capsys, poll_file):
+        with pytest.raises(SystemExit) as excinfo:
             main(["answers", QA, "--free", "p", "--db", poll_file,
-                  "--method", method, "--jobs", "2"])
-
-    def test_certain_jobs_rejected_for_serial_methods(self, poll_file):
-        with pytest.raises(SystemExit, match="--jobs only applies"):
-            main(["certain", QA, "--db", poll_file,
-                  "--method", "interpreted", "--jobs", "4"])
-
-    def test_nonpositive_jobs_rejected(self, poll_file):
-        with pytest.raises(SystemExit, match="positive"):
-            main(["answers", QA, "--free", "p", "--db", poll_file,
-                  "--jobs", "0"])
+                  "--method", "parallel"])
+        assert excinfo.value.code == 2
 
 
 def _stats_payload(out: str) -> dict:
@@ -141,12 +120,10 @@ class TestStatsFlag:
                      "--method", "compiled", "--stats"]) == 0
         payload = _stats_payload(capsys.readouterr().out)
         assert set(payload) == {"schema_version", "plan_cache", "views",
-                                "parallel", "columnar", "storage"}
+                                "columnar", "storage"}
         assert {"hits", "misses", "size"} <= set(payload["plan_cache"])
         assert set(payload["views"]) == VIEW_STAT_KEYS
         assert all(isinstance(v, int) for v in payload["views"].values())
-        assert {"runs", "serial_fallbacks", "shards",
-                "workers"} <= set(payload["parallel"])
         assert {"runs", "boolean_probe_delegations", "decode_fallbacks",
                 "auto_routed"} <= set(payload["columnar"])
 
@@ -157,7 +134,7 @@ class TestStatsFlag:
         assert "certain answers (p)" in out
         payload = _stats_payload(out)
         assert set(payload) == {"schema_version", "plan_cache", "views",
-                                "parallel", "columnar", "storage"}
+                                "columnar", "storage"}
 
     def test_without_flag_no_json(self, capsys, poll_file):
         assert main(["certain", QA, "--db", poll_file]) == 0
@@ -211,7 +188,7 @@ class TestWatch:
                      "--stats"]) == 0
         payload = _stats_payload(capsys.readouterr().out)
         assert set(payload) == {"schema_version", "plan_cache", "views",
-                                "parallel", "columnar", "storage"}
+                                "columnar", "storage"}
         assert payload["views"]["commits_seen"] >= 1
 
     def test_bad_op_exits_nonzero(self, capsys, q3_file, tmp_path):
@@ -263,9 +240,7 @@ class TestDbCommands:
         out = capsys.readouterr().out
         assert "verdict: ok" in out and "integrity:" in out
 
-    def test_stats_text_and_json(self, capsys, poll_file, tmp_path,
-                                 monkeypatch):
-        monkeypatch.setenv("REPRO_SQL_MIN_FACTS", "0")
+    def test_stats_text_and_json(self, capsys, poll_file, tmp_path):
         store = str(tmp_path / "store")
         assert main(["db", "init", store, "--from", poll_file]) == 0
         capsys.readouterr()

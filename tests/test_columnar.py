@@ -1,5 +1,5 @@
 """The columnar backend: dictionary encoding, the vector executor,
-store invalidation under update streams, parallel marshaling, routing,
+store invalidation under update streams, routing,
 and the `repro plan --columnar` surface.
 
 The tuple :class:`repro.fo.plan.Executor` is the oracle throughout:
@@ -57,7 +57,6 @@ from repro.fo.plan import (
 )
 from repro.obs.profile import PlanProfile
 from repro.obs.schema import validate
-from repro.parallel import pool as pool_mod
 from repro.workloads.poll import random_poll_database
 from repro.workloads.queries import poll_q1, poll_qa, poll_qb
 
@@ -395,47 +394,6 @@ class TestCompiledParity:
         before = columnar_stats()["boolean_probe_delegations"]
         assert columnar_holds(compiled, db) == compiled.holds(db)
         assert columnar_stats()["boolean_probe_delegations"] == before + 1
-
-
-# ----------------------------------------------------------------------
-# parallel marshaling: compact int columns with the value fallback
-# ----------------------------------------------------------------------
-
-
-class TestColumnarMarshal:
-    def _batch(self, rows):
-        d = ValueDictionary()
-        return ColumnarRelation.from_rows((x, y), rows, d), d
-
-    def test_column_form_round_trip(self, monkeypatch):
-        rows = {(1, "a"), (2, "b"), (3, "a")}
-        batch, d = self._batch(rows)
-        monkeypatch.setattr(pool_mod, "_group_safe_codes", len(d))
-        entry = pool_mod._encode_columnar_shard(batch, d)
-        assert entry[0] == "C"
-        assert set(pool_mod._decode_columnar_shard(entry, d)) == rows
-
-    def test_post_fork_codes_fall_back_to_values(self, monkeypatch):
-        rows = {(1, "a"), (2, "b")}
-        batch, d = self._batch(rows)
-        # Pretend the fork happened before 'b' was assigned: any column
-        # carrying its code must ship decoded values, not raw codes.
-        monkeypatch.setattr(pool_mod, "_group_safe_codes", len(d) - 1)
-        entry = pool_mod._encode_columnar_shard(batch, d)
-        assert entry[0] == "V"
-        assert set(pool_mod._decode_columnar_shard(entry, d)) == rows
-
-    def test_unprimed_store_falls_back_to_values(self, monkeypatch):
-        batch, d = self._batch({(1, "a")})
-        monkeypatch.setattr(pool_mod, "_group_safe_codes", None)
-        assert pool_mod._encode_columnar_shard(batch, d)[0] == "V"
-
-    def test_empty_batch(self, monkeypatch):
-        d = ValueDictionary()
-        batch = ColumnarRelation.empty((x, y))
-        monkeypatch.setattr(pool_mod, "_group_safe_codes", 0)
-        entry = pool_mod._encode_columnar_shard(batch, d)
-        assert pool_mod._decode_columnar_shard(entry, d) == []
 
 
 # ----------------------------------------------------------------------

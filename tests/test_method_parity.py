@@ -1,14 +1,10 @@
-"""Cross-method parity: every certain-answer strategy agrees.
+"""Cross-method parity: every certain-answer backend agrees.
 
-Runs the full 7-method matrix — brute force, the interpreted
+Runs the full backend matrix — brute force, the interpreted
 Algorithm 1, the tuple-at-a-time rewriting evaluator, the compiled
-plan, the SQL backend, the columnar vectorized executor, and the
-sharded parallel executor (both backends: tuple and
-columnar-under-parallel) — on generated workloads and asserts
-identical answer sets.  Databases are
-kept small enough for the exponential brute-force oracle; the
-parallel paths run with ``min_facts=0`` so real partitioning, forked
-workers, and merging are exercised even at these sizes.
+plan, the columnar vectorized executor, and the SQL backend — on
+generated workloads and asserts identical answer sets.  Databases are
+kept small enough for the exponential brute-force oracle.
 """
 
 from __future__ import annotations
@@ -25,8 +21,6 @@ from repro.cqa.certain_answers import (
     certain_answers,
     cross_validate_answers,
 )
-from repro.parallel import parallel_certain_answers, shutdown_pools
-from repro.parallel.pool import fork_context
 from repro.workloads.poll import (
     adversarial_poll_database,
     random_poll_database,
@@ -35,10 +29,6 @@ from repro.workloads.queries import poll_q1, poll_qa, poll_qb
 
 p, t = Variable("p"), Variable("t")
 
-needs_fork = pytest.mark.skipif(
-    fork_context() is None, reason="platform has no fork start method"
-)
-
 OPEN_QUERIES = {
     "qa(p)": lambda: OpenQuery(poll_qa(), [p]),
     "qb(p)": lambda: OpenQuery(poll_qb(), [p]),
@@ -46,19 +36,11 @@ OPEN_QUERIES = {
 }
 
 
-@pytest.fixture(autouse=True, scope="module")
-def _clean_pools():
-    yield
-    shutdown_pools()
-
-
-def assert_parity(open_query, db, parallel_jobs=2):
-    results = cross_validate_answers(open_query, db,
-                                     parallel_jobs=parallel_jobs)
+def assert_parity(open_query, db):
+    results = cross_validate_answers(open_query, db)
     if open_query.in_fo:
         assert set(results) == {"brute", "interpreted", "rewriting",
-                                "compiled", "sql", "columnar",
-                                "parallel", "parallel-columnar"}
+                                "compiled", "sql", "columnar"}
     reference = results["brute"]
     for method, answers in results.items():
         assert answers == reference, (
@@ -67,7 +49,6 @@ def assert_parity(open_query, db, parallel_jobs=2):
         )
 
 
-@needs_fork
 @pytest.mark.parametrize("name", sorted(OPEN_QUERIES))
 @given(seed=st.integers(0, 10**6))
 @settings(max_examples=10, deadline=None)
@@ -78,7 +59,6 @@ def test_random_poll_parity(name, seed):
     assert_parity(OPEN_QUERIES[name](), db)
 
 
-@needs_fork
 @given(seed=st.integers(0, 10**6), certain=st.floats(0.0, 1.0))
 @settings(max_examples=10, deadline=None)
 def test_adversarial_poll_parity(seed, certain):
@@ -89,19 +69,14 @@ def test_adversarial_poll_parity(seed, certain):
     assert_parity(OpenQuery(poll_qa(), [p]), db)
 
 
-@needs_fork
 def test_columnar_matches_compiled_beyond_brute_sizes():
-    # Same idea for the vectorized backend: serial columnar and
-    # columnar-under-parallel against the serial compiled plan, at a
-    # size where dictionary encoding and batch joins do real work.
+    # Larger than the brute-force oracle can take: the vectorized
+    # backend against the compiled plan, at a size where dictionary
+    # encoding and batch joins do real work.
     db = adversarial_poll_database(800, 12, rng=random.Random(5))
     oq = OpenQuery(poll_qa(), [p])
     serial = certain_answers(oq, db, "compiled")
     assert certain_answers(oq, db, "columnar") == serial
-    for jobs in (2, 3):
-        par = parallel_certain_answers(oq, db, jobs=jobs, min_facts=0,
-                                       shard_factor=4, backend="columnar")
-        assert par == serial
 
 
 @given(seed=st.integers(0, 10**6))
@@ -121,28 +96,12 @@ def test_boolean_probe_parity(seed):
     assert engine.certain(db, "compiled") == expected
 
 
-@needs_fork
-def test_parallel_matches_compiled_beyond_brute_sizes():
-    # Larger than the brute-force oracle can take: compare the parallel
-    # path against the serial compiled plan directly, with enough jobs
-    # and shards that several are empty or tiny.
-    db = adversarial_poll_database(800, 12, rng=random.Random(5))
-    oq = OpenQuery(poll_qa(), [p])
-    serial = certain_answers(oq, db, "compiled")
-    for jobs in (2, 3):
-        par = parallel_certain_answers(oq, db, jobs=jobs, min_facts=0,
-                                       shard_factor=4)
-        assert par == serial
-
-
-@needs_fork
 def test_two_free_variables_parity():
     db = random_poll_database(6, 3, conflict_rate=0.5,
                               rng=random.Random(99))
     assert_parity(OpenQuery(poll_qa(), [p, t]), db)
 
 
-@needs_fork
 @given(seed=st.integers(0, 10**6))
 @settings(max_examples=5, deadline=None)
 def test_store_backed_parity(seed, tmp_path_factory):
@@ -175,7 +134,6 @@ def test_store_backed_parity(seed, tmp_path_factory):
         store.close()
 
 
-@needs_fork
 def test_store_reopen_is_invisible_to_sql_method(tmp_path_factory):
     # Closing and reopening the store (mirror reattach, dictionary
     # replay, fresh statement cache) must not change any answer.

@@ -22,7 +22,7 @@ from repro.cli import main
 from repro.core.parser import parse_query
 from repro.core.terms import Variable
 from repro.cqa.certain_answers import OpenQuery, certain_answers
-from repro.cqa.engine import CertaintyEngine
+from repro.cqa.engine import METHODS, CertaintyEngine
 from repro.db.io import save_database
 from repro.fo.compile import plan_cache
 from repro.fo.plan import Executor, Scan
@@ -44,13 +44,6 @@ from repro.obs import (
     validate,
 )
 from repro.obs.schema import SchemaError, check
-from repro.parallel import (
-    parallel_certain_answers,
-    parallel_stats,
-    reset_parallel_stats,
-    shutdown_pools,
-)
-from repro.parallel.pool import fork_context
 from repro.workloads.poll import paper_flavoured_poll_database, random_poll_database
 from repro.workloads.queries import poll_qa
 
@@ -58,17 +51,7 @@ from conftest import db_from
 
 p, x = Variable("p"), Variable("x")
 
-needs_fork = pytest.mark.skipif(
-    fork_context() is None, reason="platform has no fork start method"
-)
-
 QA = "Lives(p | t), not Born(p | t), not Likes(p, t)"
-
-
-@pytest.fixture(autouse=True)
-def _clean_pools():
-    yield
-    shutdown_pools()
 
 
 @pytest.fixture
@@ -273,9 +256,7 @@ def _all_nodes(plan):
 
 
 class TestTracingParity:
-    SERIAL_METHODS = ("brute", "interpreted", "rewriting", "compiled", "sql")
-
-    @pytest.mark.parametrize("method", SERIAL_METHODS)
+    @pytest.mark.parametrize("method", METHODS)
     def test_answers_identical_with_and_without_tracer(
         self, method, qa_open, poll_db
     ):
@@ -285,7 +266,7 @@ class TestTracingParity:
         assert traced == plain
         assert tracer.roots, f"method {method} produced no spans"
 
-    @pytest.mark.parametrize("method", SERIAL_METHODS)
+    @pytest.mark.parametrize("method", METHODS)
     def test_boolean_identical_with_and_without_tracer(
         self, method, poll_db
     ):
@@ -295,30 +276,8 @@ class TestTracingParity:
         assert engine.certain(poll_db, method, tracer=tracer) == plain
         assert tracer.roots
 
-    @needs_fork
-    def test_parallel_identical_with_and_without_tracer(self, qa_open, rng):
-        db = random_poll_database(40, 5, rng=rng)
-        plain = parallel_certain_answers(qa_open, db, jobs=2, min_facts=0)
-        tracer = Tracer()
-        traced = parallel_certain_answers(
-            qa_open, db, jobs=2, min_facts=0, tracer=tracer
-        )
-        assert traced == plain
-        names = {s.name for s, _, _ in tracer.iter_spans()}
-        assert "worker" in names and "merge" in names
-
-    def test_parallel_fallback_event_recorded(self, qa_open, poll_db):
-        tracer = Tracer()
-        with pytest.warns(DeprecationWarning, match="jobs="):
-            certain_answers(qa_open, poll_db, "parallel", jobs=1,
-                            tracer=tracer)
-        events = [s for s, _, _ in tracer.iter_spans()
-                  if s.name == "parallel-fallback"]
-        assert events and events[0].tags["reason"] == "jobs=1"
-
-
 # ----------------------------------------------------------------------
-# EngineMetrics / MetricsRegistry / deprecated shims
+# EngineMetrics / MetricsRegistry
 # ----------------------------------------------------------------------
 
 
@@ -329,8 +288,7 @@ class TestEngineMetrics:
         doc = metrics.to_dict()
         assert doc["schema_version"] == 1
         assert {"hits", "misses", "size"} <= set(doc["plan_cache"])
-        assert {"runs", "serial_fallbacks", "worker_plan_cache",
-                "worker_rows"} <= set(doc["parallel"])
+        assert "parallel" not in doc
         assert {"views_registered", "commits_seen"} <= set(doc["views"])
         json.loads(metrics.to_json())
 
@@ -348,48 +306,11 @@ class TestEngineMetrics:
         registry.register("custom", lambda: {"widgets": 7})
         metrics = registry.collect()
         assert metrics.plan_cache == {"hits": 1}
-        assert metrics.parallel == {} and metrics.views == {}
+        assert metrics.views == {}
         assert metrics.extra == {"custom": {"widgets": 7}}
         assert metrics.to_dict()["custom"] == {"widgets": 7}
         registry.unregister("custom")
         assert "custom" not in registry.sources()
-
-    @pytest.mark.parametrize("name", ["plan_cache_stats", "parallel_stats",
-                                      "view_stats"])
-    def test_static_shims_warn_and_delegate(self, name):
-        with pytest.warns(DeprecationWarning, match="metrics()"):
-            out = getattr(CertaintyEngine, name)()
-        assert isinstance(out, dict) and out
-
-
-# ----------------------------------------------------------------------
-# Worker-counter merge (the --jobs --stats bugfix)
-# ----------------------------------------------------------------------
-
-
-@needs_fork
-class TestWorkerCounterMerge:
-    def test_worker_plan_cache_and_rows_merged(self, qa_open, rng):
-        db = random_poll_database(40, 5, rng=rng)
-        reset_parallel_stats()
-        answers = parallel_certain_answers(qa_open, db, jobs=2, min_facts=0)
-        stats = parallel_stats()
-        cache = stats["worker_plan_cache"]
-        # Workers compiled/executed in their own processes; their
-        # counters must now be visible in the parent.
-        assert cache["hits"] + cache["misses"] > 0
-        assert stats["worker_rows"] >= len(answers)
-
-    def test_no_double_counting_on_warm_pool(self, qa_open, rng):
-        db = random_poll_database(40, 5, rng=rng)
-        reset_parallel_stats()
-        parallel_certain_answers(qa_open, db, jobs=2, min_facts=0)
-        first = dict(parallel_stats()["worker_plan_cache"])
-        parallel_certain_answers(qa_open, db, jobs=2, min_facts=0)
-        second = parallel_stats()["worker_plan_cache"]
-        # The second (warm) run ships only deltas: misses cannot repeat.
-        assert second["misses"] == first["misses"]
-
 
 # ----------------------------------------------------------------------
 # RunConfig
@@ -399,81 +320,54 @@ class TestWorkerCounterMerge:
 class TestRunConfig:
     def test_from_env_reads_consolidated_vars(self):
         env = {
-            "REPRO_MAX_WORKERS": "3",
-            "REPRO_PARALLEL_MIN_FACTS": "0",
+            "REPRO_COLUMNAR_MIN_FACTS": "0",
             "REPRO_TRACE_FILE": "/tmp/t.jsonl",
-            "BENCH_PARALLEL_SMOKE": "1",
         }
         config = RunConfig.from_env(env)
-        assert config.max_workers == 3
-        assert config.parallel_min_facts == 0
+        assert config.columnar_min_facts == 0
         assert config.trace_file == "/tmp/t.jsonl"
-        assert config.parallel_smoke is True
         assert config.tracing is True  # trace file implies tracing
 
     def test_from_env_defaults_and_garbage(self):
-        config = RunConfig.from_env({"REPRO_MAX_WORKERS": "banana"})
-        assert config.max_workers is None
-        assert config.parallel_min_facts is None
+        config = RunConfig.from_env({"REPRO_COLUMNAR_MIN_FACTS": "banana"})
+        assert config.columnar_min_facts is None
         assert config.trace_file is None
         assert config.tracing is False
         assert config.make_tracer() is None
 
     def test_overrides_beat_env(self):
-        env = {"REPRO_MAX_WORKERS": "3", "REPRO_PARALLEL_MIN_FACTS": "100"}
-        config = RunConfig.from_env(env, max_workers=8, trace=True)
-        assert config.max_workers == 8
-        assert config.parallel_min_facts == 100  # None override kept env
+        env = {"REPRO_COLUMNAR_MIN_FACTS": "3", "REPRO_SQL_STMT_CACHE": "100"}
+        config = RunConfig.from_env(env, columnar_min_facts=8, trace=True,
+                                    sql_stmt_cache=None)
+        assert config.columnar_min_facts == 8
+        assert config.sql_stmt_cache == 100  # None override kept env
         assert isinstance(config.make_tracer(), Tracer)
 
-    def test_resolved_jobs_clamps(self):
-        config = RunConfig(jobs=4, max_workers=2)
-        assert config.resolved_jobs() == 2
-        assert config.resolved_jobs(1) == 1
-        assert RunConfig().resolved_jobs(6) == 6
-
     def test_resolved_min_facts(self):
-        assert RunConfig().resolved_min_facts() == 2000
-        assert RunConfig(parallel_min_facts=5).resolved_min_facts() == 5
-        assert RunConfig(parallel_min_facts=5).resolved_min_facts(9) == 9
+        from repro.obs.config import DEFAULT_COLUMNAR_MIN_FACTS
 
-    def test_certain_answers_accepts_config(self, qa_open, poll_db):
-        config = RunConfig(jobs=1, parallel_min_facts=0)
-        with pytest.warns(DeprecationWarning, match="config="):
-            got = certain_answers(qa_open, poll_db, "parallel",
-                                  config=config)
-        assert got == certain_answers(qa_open, poll_db, "compiled")
+        assert (RunConfig().resolved_columnar_min_facts()
+                == DEFAULT_COLUMNAR_MIN_FACTS)
+        assert RunConfig(columnar_min_facts=5).resolved_columnar_min_facts() \
+            == 5
 
     def test_from_env_reads_sql_knobs(self):
-        env = {"REPRO_SQL_MIN_FACTS": "17", "REPRO_SQL_STMT_CACHE": "0"}
-        config = RunConfig.from_env(env)
-        assert config.sql_min_facts == 17
+        config = RunConfig.from_env({"REPRO_SQL_STMT_CACHE": "0"})
         assert config.sql_stmt_cache == 0
-        assert config.resolved_sql_min_facts() == 17
         assert config.resolved_sql_stmt_cache() == 0
 
     @pytest.mark.parametrize("bad", ["-5", "0x10", "  ", "", "many", "4.5"])
     def test_bad_sql_knobs_fall_back_to_defaults(self, bad):
-        from repro.obs.config import (
-            DEFAULT_SQL_MIN_FACTS,
-            DEFAULT_SQL_STMT_CACHE,
-        )
+        from repro.obs.config import DEFAULT_SQL_STMT_CACHE
 
-        env = {"REPRO_SQL_MIN_FACTS": bad, "REPRO_SQL_STMT_CACHE": bad}
-        config = RunConfig.from_env(env)
-        assert config.sql_min_facts is None
+        config = RunConfig.from_env({"REPRO_SQL_STMT_CACHE": bad})
         assert config.sql_stmt_cache is None
-        assert config.resolved_sql_min_facts() == DEFAULT_SQL_MIN_FACTS
         assert config.resolved_sql_stmt_cache() == DEFAULT_SQL_STMT_CACHE
 
     def test_sql_knob_defaults_without_env(self):
-        from repro.obs.config import (
-            DEFAULT_SQL_MIN_FACTS,
-            DEFAULT_SQL_STMT_CACHE,
-        )
+        from repro.obs.config import DEFAULT_SQL_STMT_CACHE
 
         config = RunConfig.from_env({})
-        assert config.resolved_sql_min_facts() == DEFAULT_SQL_MIN_FACTS
         assert config.resolved_sql_stmt_cache() == DEFAULT_SQL_STMT_CACHE
 
 
@@ -770,4 +664,4 @@ class TestCliTracing:
         out = capsys.readouterr().out
         payload = json.loads(out[out.index("{"):])
         assert payload["schema_version"] == 1
-        assert {"plan_cache", "parallel", "views"} <= set(payload)
+        assert {"plan_cache", "views"} <= set(payload)

@@ -1,10 +1,9 @@
 """ExecutionOptions: the one request-shaped execution API.
 
-The same frozen dataclass travels three ways — positionally into
-``certain``/``certain_answers``, as the JSON body of a ``repro serve``
-request, and merged out of the deprecated ``method=``/``jobs=``/
-``config=`` keywords — so these tests pin its validation, coercion,
-wire round-trip, and the legacy-shim semantics the engine relies on.
+The same frozen dataclass travels two ways — positionally into
+``certain``/``certain_answers`` and as the JSON body of a ``repro
+serve`` request — so these tests pin its validation, coercion and wire
+round-trip.
 """
 
 from __future__ import annotations
@@ -18,16 +17,14 @@ from repro.cqa.engine import CertaintyEngine
 from repro.db.database import Database
 from repro.core.atoms import RelationSchema
 from repro.obs import ExecutionOptions, OptionsError, RunConfig
-from repro.obs.options import merge_legacy_options
 
 
 class TestConstruction:
     def test_defaults(self):
         opts = ExecutionOptions()
         assert opts.method == "auto"
-        assert opts.jobs is None
         assert opts.trace is False
-        assert opts.resolved_method == "auto"
+        assert opts.columnar_min_facts is None
 
     def test_frozen(self):
         with pytest.raises(Exception):
@@ -37,29 +34,33 @@ class TestConstruction:
         with pytest.raises(OptionsError, match="unknown method"):
             ExecutionOptions(method="turbo")
 
-    def test_jobs_requires_parallelizable_method(self):
-        with pytest.raises(OptionsError, match="jobs= only applies"):
-            ExecutionOptions(method="compiled", jobs=2)
-
-    def test_jobs_with_auto_resolves_to_parallel(self):
-        opts = ExecutionOptions(jobs=2)
-        assert opts.method == "auto"
-        assert opts.resolved_method == "parallel"
-
-    def test_positive_fields_validated(self):
-        with pytest.raises(OptionsError):
-            ExecutionOptions(method="parallel", jobs=0)
-        with pytest.raises(OptionsError):
-            ExecutionOptions(shard_factor=-1)
-
     def test_nonnegative_fields_validated(self):
-        assert ExecutionOptions(sql_min_facts=0).sql_min_facts == 0
+        assert ExecutionOptions(sql_stmt_cache=0).sql_stmt_cache == 0
         with pytest.raises(OptionsError):
-            ExecutionOptions(parallel_min_facts=-5)
+            ExecutionOptions(columnar_min_facts=-5)
 
     def test_bool_is_not_an_int(self):
         with pytest.raises(OptionsError):
-            ExecutionOptions(method="parallel", jobs=True)
+            ExecutionOptions(columnar_min_facts=True)
+
+    def test_five_fields(self):
+        from dataclasses import fields
+
+        assert [f.name for f in fields(ExecutionOptions)] == [
+            "method", "trace", "trace_file", "sql_stmt_cache",
+            "columnar_min_facts"]
+
+    @pytest.mark.parametrize("payload", [
+        {"method": "parallel"},
+        {"method": "auto", "jobs": 2},
+        {"max_workers": 2},
+        {"parallel_min_facts": 0},
+        {"shard_factor": 4},
+        {"sql_min_facts": 0},
+    ])
+    def test_retired_parallel_and_sql_routing_fields_rejected(self, payload):
+        with pytest.raises(OptionsError):
+            ExecutionOptions.from_dict(payload)
 
 
 class TestCoercion:
@@ -70,8 +71,9 @@ class TestCoercion:
         assert ExecutionOptions.coerce("sql").method == "sql"
 
     def test_mapping_goes_through_from_dict(self):
-        opts = ExecutionOptions.coerce({"method": "parallel", "jobs": 3})
-        assert (opts.method, opts.jobs) == ("parallel", 3)
+        opts = ExecutionOptions.coerce({"method": "columnar",
+                                        "columnar_min_facts": 3})
+        assert (opts.method, opts.columnar_min_facts) == ("columnar", 3)
 
     def test_instance_passes_through(self):
         opts = ExecutionOptions(method="brute")
@@ -91,8 +93,8 @@ class TestWireRoundTrip:
         assert ExecutionOptions().to_dict() == {"method": "auto"}
 
     def test_round_trip_preserves_everything(self):
-        opts = ExecutionOptions(method="parallel", jobs=4, shard_factor=2,
-                                sql_min_facts=10, columnar_min_facts=7)
+        opts = ExecutionOptions(method="sql", sql_stmt_cache=10,
+                                columnar_min_facts=7)
         assert ExecutionOptions.from_dict(opts.to_dict()) == opts
 
     def test_replace(self):
@@ -100,58 +102,18 @@ class TestWireRoundTrip:
         assert opts.method == "sql"
 
     def test_from_env_reads_gates(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SQL_MIN_FACTS", "123")
+        monkeypatch.setenv("REPRO_COLUMNAR_MIN_FACTS", "123")
         opts = ExecutionOptions.from_env(method="sql")
-        assert opts.sql_min_facts == 123
+        assert opts.columnar_min_facts == 123
         assert opts.method == "sql"
 
     def test_run_config_lift(self):
-        opts = ExecutionOptions(method="parallel", jobs=3, shard_factor=2)
+        opts = ExecutionOptions(method="columnar", columnar_min_facts=3,
+                                sql_stmt_cache=2)
         config = opts.run_config()
         assert isinstance(config, RunConfig)
-        assert config.jobs == 3
-        assert config.shard_factor == 2
-
-
-class TestLegacyShims:
-    def test_positional_string_does_not_warn(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            opts = merge_legacy_options("compiled", where="t")
-        assert opts.method == "compiled"
-
-    def test_method_keyword_warns(self):
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            opts = merge_legacy_options(None, where="t", method="sql")
-        assert opts.method == "sql"
-
-    def test_jobs_keyword_warns_and_routes_parallel(self):
-        with pytest.warns(DeprecationWarning):
-            opts = merge_legacy_options(None, where="t", jobs=2)
-        assert opts.resolved_method == "parallel"
-        assert opts.jobs == 2
-
-    def test_config_keyword_lifts_gates(self):
-        config = RunConfig(sql_min_facts=55)
-        with pytest.warns(DeprecationWarning):
-            opts = merge_legacy_options(None, where="t", config=config)
-        assert opts.sql_min_facts == 55
-
-    def test_config_jobs_only_lifts_for_parallel(self):
-        # Historical contract: certain_answers(..., method="compiled",
-        # config=RunConfig(jobs=2)) ran serial compiled — keep it legal.
-        config = RunConfig(jobs=2)
-        with pytest.warns(DeprecationWarning):
-            opts = merge_legacy_options("compiled", where="t", config=config)
-        assert opts.method == "compiled"
-        assert opts.jobs is None
-
-    def test_options_beat_legacy_keywords(self):
-        with pytest.warns(DeprecationWarning):
-            opts = merge_legacy_options(
-                ExecutionOptions(method="sql"), where="t", method="brute"
-            )
-        assert opts.method == "sql"
+        assert config.columnar_min_facts == 3
+        assert config.sql_stmt_cache == 2
 
 
 class TestEngineIntegration:
@@ -174,9 +136,9 @@ class TestEngineIntegration:
                 == expected
             assert engine.certain(db, {"method": "interpreted"}) == expected
 
-    def test_engine_deprecated_method_keyword_still_works(self):
+    def test_engine_rejects_retired_keywords(self):
         engine = CertaintyEngine(parse_query(self.QUERY))
         db = self._db()
-        with pytest.warns(DeprecationWarning):
-            legacy = engine.certain(db, method="compiled")
-        assert legacy == engine.certain(db, "compiled")
+        for keyword in ("method", "jobs", "config"):
+            with pytest.raises(TypeError):
+                engine.certain(db, **{keyword: "compiled"})

@@ -152,16 +152,6 @@ class TestQueryEndpoints:
             "/v1/certain", {"query": FO_QUERY, "options": "compiled"})
         assert status == 200 and body["method"] == "compiled"
 
-    def test_parallel_method_over_the_wire(self, served):
-        status, body = served.post(
-            "/v1/answers", {"query": FO_QUERY, "free": ["x"],
-                            "options": {"method": "parallel", "jobs": 2}})
-        assert status == 200, body
-        oracle = certain_answers(
-            OpenQuery(parse_query(FO_QUERY), (Variable("x"),)),
-            seeded_db(), "compiled")
-        assert body["digest"] == answers_digest(oracle)
-
     def test_keep_alive_reuses_connection(self, served):
         conn = served.connection()
         try:
@@ -201,6 +191,20 @@ class TestErrors:
     def test_unknown_option_field_400(self, served):
         status, body = served.post(
             "/v1/certain", {"query": FO_QUERY, "options": {"workers": 3}})
+        assert status == 400 and body["error"]["code"] == "bad-options"
+
+    @pytest.mark.parametrize("options", [
+        {"method": "parallel"},
+        {"jobs": 2},
+        {"max_workers": 2},
+        {"parallel_min_facts": 0},
+        {"shard_factor": 4},
+        {"sql_min_facts": 0},
+    ])
+    def test_retired_options_400(self, served, options):
+        status, body = served.post(
+            "/v1/answers", {"query": FO_QUERY, "free": ["x"],
+                            "options": options})
         assert status == 400 and body["error"]["code"] == "bad-options"
 
     def test_wire_tracing_rejected(self, served):

@@ -108,7 +108,7 @@ def store_server(tmp_path):
     db = PersistentDatabase(tmp_path / "store")
     db.add_relation(RelationSchema("A", 2, 1))
     db.add_relation(RelationSchema("B", 2, 1))
-    with ServerHandle(db, jobs=2) as handle:
+    with ServerHandle(db) as handle:
         yield handle
 
 

@@ -1,12 +1,12 @@
-"""SQL pushdown: the integer-encoded mirror and the routing gate.
+"""SQL pushdown: the integer-encoded mirror behind ``method="sql"``.
 
 The mirror must stay delta-consistent with its store (one transaction
 per changelog batch, clock + dictionary + active-domain refcounts
 recorded alongside), rebuild exactly when its recorded clock, format,
-or persisted dictionary diverges, and the ``prefer_sql`` gate must
-route to it only for mirror-backed databases above the size threshold
-whose compiled plan the native SQL compiler can translate — which,
-since the ``repro_adom`` table, includes every ``Adom*``-bearing plan.
+or persisted dictionary diverges, and serve only mirror-backed
+databases whose compiled plan the native SQL compiler can translate —
+which, since the ``repro_adom`` table, includes every ``Adom*``-bearing
+plan.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from repro.storage import (
     mirror_capable,
     native_sql_answers,
     native_sql_holds,
-    prefer_sql,
     reset_storage_stats,
     sql_mirror,
     storage_stats,
@@ -248,7 +247,6 @@ class TestRouting:
         db.add("Lives", ("p", "t"))
         compiled = self.compiled(db)
         assert not mirror_capable(db)
-        assert not prefer_sql(compiled, db)
         assert native_sql_holds(compiled, db) is None
         # method="sql" still works, via the legacy load-per-call path.
         engine = CertaintyEngine(poll_qa())
@@ -256,53 +254,23 @@ class TestRouting:
         assert storage_stats()["pushdown"]["legacy_sql"] == 1
         assert storage_stats()["pushdown"]["routed_sql"] == 0
 
-    def test_small_store_falls_back(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("REPRO_SQL_MIN_FACTS", raising=False)
-        db = make_poll_store(tmp_path / "store")
-        db.add("Lives", ("p", "t"))
-        assert not prefer_sql(self.compiled(db), db)
-        assert storage_stats()["pushdown"]["fallback_small"] == 1
-        db.close()
-
-    def test_threshold_env_routes(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_SQL_MIN_FACTS", "2")
-        db = make_poll_store(tmp_path / "store")
-        db.add_all("Lives", [("p", "t"), ("q", "u")])
-        assert prefer_sql(self.compiled(db), db)
-        db.close()
-
-    def test_bad_threshold_env_uses_default(self, tmp_path, monkeypatch):
-        # Negatives, hex, whitespace junk: ignored, default 4096 holds,
-        # so a 2-fact store falls back small instead of crashing.
-        for bad in ("-5", "0x10", "  ", "many"):
-            monkeypatch.setenv("REPRO_SQL_MIN_FACTS", bad)
-            db = make_poll_store(tmp_path / f"store-{hash(bad) % 997}")
-            db.add_all("Lives", [("p", "t"), ("q", "u")])
-            assert not prefer_sql(self.compiled(db), db)
-            db.close()
-
-    def test_adom_plans_route(self, tmp_path, monkeypatch):
-        # The flip of the old gate: Adom*-bearing plans are served by
-        # the maintained repro_adom table instead of forcing the
-        # in-memory executors.
-        monkeypatch.setenv("REPRO_SQL_MIN_FACTS", "0")
+    def test_adom_plans_route(self, tmp_path):
+        # Adom*-bearing plans are served by the maintained repro_adom
+        # table instead of forcing the in-memory executors.
         db = make_store(tmp_path / "store")
         db.add("R", ("a", "1"))
         compiled = fake_compiled(Project(AdomProduct((x,)), (x,)))
         assert supports_plan(compiled.plan)
-        assert prefer_sql(compiled, db)
-        assert storage_stats()["pushdown"]["fallback_unsupported"] == 0
+        assert native_sql_answers(compiled, db) == {("a",), ("1",)}
+        assert storage_stats()["pushdown"]["native_sql"] == 1
         db.close()
 
-    def test_unsupported_plan_falls_back(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_SQL_MIN_FACTS", "0")
+    def test_unsupported_plan_falls_back(self, tmp_path):
         db = make_store(tmp_path / "store")
         db.add("R", ("a", "1"))
         compiled = fake_compiled(_OpaquePlan())
         assert not supports_plan(compiled.plan)
-        assert not prefer_sql(compiled, db)
-        assert storage_stats()["pushdown"]["fallback_unsupported"] == 1
-        # The native entry points refuse it too (callers fall back).
+        # The native entry points refuse it (callers fall back).
         assert native_sql_answers(compiled, db) is None
         assert storage_stats()["pushdown"]["native_sql"] == 0
         db.close()
@@ -410,15 +378,6 @@ class TestEndToEnd:
         engine = CertaintyEngine(poll_qa())
         assert engine.certain(db, "sql") == engine.certain(db, "compiled")
         assert storage_stats()["pushdown"]["native_sql"] >= 1
-        db.close()
-
-    def test_auto_routes_to_sql_above_threshold(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_SQL_MIN_FACTS", "2")
-        db = make_poll_store(tmp_path / "store")
-        self.seed_poll(db)
-        engine = CertaintyEngine(poll_qa())
-        expected = engine.certain(db, "compiled")
-        assert engine.certain(db, "auto") == expected
         db.close()
 
     def test_mirror_answers_track_updates(self, tmp_path):
