@@ -14,9 +14,10 @@ Usage:  PYTHONPATH=src python scripts/bench_storage.py [output_path] [--smoke]
 * **SQL-pushdown crossover** — certain answers of ``poll_qa`` via the
   native plan-IR SQL compiler on the delta-maintained integer-encoded
   mirror (``method="sql"``) against the in-memory compiled and
-  columnar executors, the previous formula-SQL mirror design (warm
-  TEXT connection, load excluded), and the legacy per-call-load path,
-  across a size grid.  At every point a SHA-256 digest over the
+  columnar executors and the paper's formula SQL
+  (``certain_answers_sql_query`` over ``load_database``'s TEXT tables)
+  twice: on a warm connection (load excluded) and with a fresh load
+  per call, across a size grid.  At every point a SHA-256 digest over the
   sorted answer set of each method is recorded and asserted identical
   — the speedups are only claimed for provably identical answers.
 
@@ -38,7 +39,13 @@ import tempfile
 import time
 
 from repro.core.terms import Variable
-from repro.cqa.certain_answers import OpenQuery, certain_answers
+from repro.cqa.certain_answers import (
+    OpenQuery,
+    certain_answers,
+    certain_answers_sql_query,
+)
+from repro.db.sqlite_backend import load_database
+from repro.fo.sql import decode_value
 from repro.storage import PersistentDatabase, storage_stats
 from repro.workloads.poll import random_poll_database
 from repro.workloads.queries import poll_qa
@@ -83,6 +90,23 @@ def seed_store(path, db, sync=None):
         for name in db.relations():
             store.add_all(name, db.facts(name))
     return store
+
+
+def formula_sql(open_query, db, conn):
+    """The paper's formula SQL for ``open_query`` run on ``conn`` (a
+    ``load_database`` connection), rows decoded back to values."""
+    sql = certain_answers_sql_query(open_query, db)
+    return frozenset(tuple(decode_value(v) for v in row)
+                     for row in conn.execute(sql))
+
+
+def formula_sql_loaded(open_query, db):
+    """Formula SQL after loading every fact into a fresh connection."""
+    conn = load_database(db)
+    try:
+        return formula_sql(open_query, db, conn)
+    finally:
+        conn.close()
 
 
 def bench_commit_throughput(base, counts):
@@ -157,9 +181,6 @@ def bench_replay(base, grid):
 
 
 def bench_sql_crossover(base, sizes):
-    from repro.cqa.certain_answers import _certain_answers_sql
-    from repro.db.sqlite_backend import load_database
-
     open_query = OpenQuery(poll_qa(), [Variable("p")])
     rows = []
     for people, towns in sizes:
@@ -180,23 +201,22 @@ def bench_sql_crossover(base, sizes):
             got, seconds = timed(certain_answers, open_query, store, method)
             assert answer_digest(got) == digest, (people, towns, method)
             point[key] = round(seconds, 6)
-        # formula_sql: the previous mirror design — formula-level SQL
-        # over TEXT-encoded tables on an already-loaded warm connection
-        # (load excluded from the timing).  The baseline the native
-        # plan-IR compiler is gated against.
+        # formula_sql: the paper's formula-level SQL over TEXT-encoded
+        # tables on an already-loaded warm connection (load excluded
+        # from the timing).  The baseline the native plan-IR compiler
+        # is gated against.
         warm = load_database(store)
         try:
-            got, seconds = timed(_certain_answers_sql, open_query, store,
-                                 warm)
+            got, seconds = timed(formula_sql, open_query, store, warm)
             assert answer_digest(got) == digest, (people, towns,
                                                   "formula-sql")
             point["formula_sql_s"] = round(seconds, 6)
         finally:
             warm.close()
-        # legacy_sql: the same formula SQL on the plain in-memory
-        # database — every call loads every fact into a fresh sqlite
-        # connection first (the copy the mirror exists to avoid).
-        got, seconds = timed(certain_answers, open_query, db, "sql")
+        # legacy_sql: the same formula SQL, but every call loads every
+        # fact into a fresh sqlite connection first (the copy the
+        # mirror exists to avoid).
+        got, seconds = timed(formula_sql_loaded, open_query, db)
         assert answer_digest(got) == digest, (people, towns, "legacy-sql")
         point["legacy_sql_s"] = round(seconds, 6)
         point["native_vs_formula_sql"] = (

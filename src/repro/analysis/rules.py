@@ -350,12 +350,11 @@ def check_columnar_decode(
 def check_wal_compaction(
     info: RuleInfo, ctx: AnalysisContext
 ) -> Iterator[Diagnostic]:
-    from ..storage.pushdown import mirror_capable
-    from ..storage.store import checkpoint_threshold_bytes
+    from ..storage.store import PersistentDatabase, checkpoint_threshold_bytes
 
-    if ctx.db is None or not mirror_capable(ctx.db):
+    if not isinstance(ctx.db, PersistentDatabase) or not ctx.db.is_open:
         return
-    status = ctx.db.storage_status()  # type: ignore[attr-defined]
+    status = ctx.db.storage_status()
     threshold = checkpoint_threshold_bytes()
     wal_bytes = int(status["wal_bytes"])
     if wal_bytes < threshold:
@@ -376,7 +375,8 @@ def check_wal_compaction(
     "sql-statement-cache-hostile",
     Severity.HINT,
     "the query's shape defeats the SQL pushdown's prepared-statement "
-    "cache (constants baked into the plan, or per-call DDL)",
+    "cache (constants baked into the plan, or relations missing from "
+    "the schema)",
     "repro.storage.pushdown: the statement cache is keyed on the "
     "compiled plan object, which embeds the query's constants — the "
     "SQL-tier sibling of QP108's plan-cache rule",
@@ -412,9 +412,10 @@ def check_sql_stmt_cache(
         if missing:
             yield info.diagnostic(
                 f"relation(s) {', '.join(missing)} are absent from the "
-                f"database: every SQL-tier call creates the empty "
-                f"table(s) before querying (per-call DDL on the legacy "
-                f"path; a statement-cache epoch bump on the mirror)",
+                f"database: their scans compile to the empty relation, "
+                f"and declaring any relation later bumps the SQL "
+                f"mirror's statement-cache epoch, so every cached "
+                f"statement recompiles",
                 fix="declare the relation once with add_relation so "
                     "the schema is stable before querying",
             )

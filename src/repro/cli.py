@@ -41,7 +41,6 @@ from .lint import LintError, lint_text
 from .obs import (
     ExecutionOptions,
     PlanProfile,
-    RunConfig,
     collect_metrics,
     profile_tree,
     render_profile,
@@ -62,8 +61,8 @@ def _load_db(args: argparse.Namespace, required: bool = True):
 
     ``--db`` loads a JSON snapshot into memory (the historical path);
     ``--db-path`` opens a durable store (:mod:`repro.storage`) whose
-    facts, registered views, and sqlite mirror survive between
-    invocations.  The caller must pass the result to :func:`_close_db`.
+    facts and registered views survive between invocations.  The
+    caller must pass the result to :func:`_close_db`.
     """
     db_path = getattr(args, "db_path", None)
     db_file = getattr(args, "db", None)
@@ -300,15 +299,11 @@ def _print_trace(tracer) -> None:
         print(render_profile(plan, profile))
 
 
-def _flush_trace(tracer, config) -> None:
-    """Append the span JSONL when a trace file is configured.
-
-    ``config`` is anything with a ``trace_file`` field (a
-    :class:`RunConfig` or an :class:`ExecutionOptions`).
-    """
-    if tracer is not None and config.trace_file:
-        n = tracer.write_jsonl(config.trace_file)
-        print(f"wrote {n} span records to {config.trace_file}",
+def _flush_trace(tracer, options: ExecutionOptions) -> None:
+    """Append the span JSONL when a trace file is configured."""
+    if tracer is not None and options.trace_file:
+        n = tracer.write_jsonl(options.trace_file)
+        print(f"wrote {n} span records to {options.trace_file}",
               file=sys.stderr)
 
 
@@ -404,8 +399,8 @@ def cmd_watch(args: argparse.Namespace) -> int:
     from .incremental import view_manager
 
     query = _parse_query_arg(args.query)
-    config = RunConfig.from_env(trace_file=args.trace_out)
-    tracer = config.make_tracer()
+    options = ExecutionOptions.from_env(trace_file=args.trace_out)
+    tracer = options.make_tracer()
     db = _load_db(args)
     free = [Variable(n.strip()) for n in args.free.split(",") if n.strip()]
     manager = view_manager(db, tracer=tracer)
@@ -482,7 +477,7 @@ def cmd_watch(args: argparse.Namespace) -> int:
     else:
         print(f"final: CERTAINTY = {view.holds} at v{db.clock} "
               f"({commits} update batches)")
-    _flush_trace(tracer, config)
+    _flush_trace(tracer, options)
     if args.stats:
         _print_stats()
     return 0
@@ -540,8 +535,8 @@ def cmd_explain(args: argparse.Namespace) -> int:
 def cmd_analyze(args: argparse.Namespace) -> int:
     from .analysis import analyze_text
 
-    config = RunConfig.from_env(trace_file=args.trace_out)
-    tracer = config.make_tracer()
+    options = ExecutionOptions.from_env(trace_file=args.trace_out)
+    tracer = options.make_tracer()
     free = tuple(
         Variable(n.strip()) for n in args.free.split(",") if n.strip()
     )
@@ -556,7 +551,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             print(report.render_text())
     finally:
         _close_db(db) if db is not None else None
-    _flush_trace(tracer, config)
+    _flush_trace(tracer, options)
     return 1 if report.errors else 0
 
 
@@ -724,13 +719,11 @@ def cmd_db_stats(args: argparse.Namespace) -> int:
         raise SystemExit(f"error: {exc}")
     try:
         status = store.storage_status()
-        mirror = sql_mirror(store)
-        assert mirror is not None  # an open store is always mirror-capable
         report = {
             "store": {"path": status["path"], "clock": status["clock"],
                       "facts": status["facts"],
                       "relations": status["relations"]},
-            "mirror": mirror.stats(),
+            "mirror": sql_mirror(store).stats(),
             "pushdown": storage_stats()["pushdown"],
         }
     finally:
@@ -742,10 +735,7 @@ def cmd_db_stats(args: argparse.Namespace) -> int:
     print(f"store:  {report['store']['path']} "
           f"(clock {report['store']['clock']}, "
           f"{report['store']['facts']} facts)")
-    print(f"mirror: format {mirror_stats['format']}, "
-          f"clock {mirror_stats['clock']} "
-          f"({'in sync' if mirror_stats['clock'] == report['store']['clock'] else 'STALE'}), "
-          f"{mirror_stats['dictionary_codes']} dictionary code(s), "
+    print(f"mirror: {mirror_stats['dictionary_codes']} dictionary code(s), "
           f"{mirror_stats['adom_values']} active-domain value(s)")
     for name, info in mirror_stats["tables"].items():
         print(f"  table {name}: {info['rows']} row(s), "
@@ -757,7 +747,7 @@ def cmd_db_stats(args: argparse.Namespace) -> int:
           f"entries, {cache['hits']} hit(s), {cache['misses']} miss(es), "
           f"hit rate {rate}")
     pd = report["pushdown"]
-    print(f"pushdown: {pd['native_sql']} native, {pd['legacy_sql']} legacy, "
+    print(f"pushdown: {pd['native_sql']} native, "
           f"{pd['mirror_rebuilds']} rebuild(s), "
           f"{pd['mirror_delta_rows']} delta row(s)")
     return 0
@@ -998,9 +988,9 @@ def build_parser() -> argparse.ArgumentParser:
     q.set_defaults(func=cmd_db_verify)
 
     q = dbsub.add_parser("stats",
-                         help="attach the SQL-pushdown mirror and print "
-                              "its vitals: clock sync, per-table row and "
-                              "index counts, statement-cache hit rate")
+                         help="build the SQL-pushdown mirror and print "
+                              "its vitals: per-table row and index "
+                              "counts, statement-cache hit rate")
     q.add_argument("path")
     q.add_argument("--json", action="store_true",
                    help="emit the stats report as JSON")

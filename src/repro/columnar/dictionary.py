@@ -12,8 +12,8 @@ whole invalidation story (the bug class this module exists to close):
 * The :class:`ValueDictionary` is **append-only and never invalidated**.
   A code, once assigned, means the same value forever — deleting the
   value from the database merely leaves its code unused.  Append-only
-  is what lets the sqlite mirror persist codes and keep them stable
-  across process restarts (see :mod:`repro.storage.pushdown`).
+  is why caches that hold codes, and the process-local sqlite mirror
+  (see :mod:`repro.storage.pushdown`), never need re-encoding.
 * The **encoded relation columns and scan results are version-tagged
   caches**.  Each entry records the :meth:`Database.relation_version`
   (for per-relation data) or the changelog :attr:`Database.clock` (for

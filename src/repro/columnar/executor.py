@@ -69,6 +69,7 @@ from ..fo.plan import (
     SemiJoin,
     Union,
 )
+from ..obs.options import env_columnar_min_facts
 from .dictionary import ColumnarStore, columnar_store
 from .relation import ColumnarRelation, fuse, gather, pick
 
@@ -124,11 +125,6 @@ def columnar_stats() -> Dict[str, int]:
     of ``engine.metrics()``.
     """
     return dict(_STATS)
-
-
-def _min_facts() -> int:
-    raw = os.environ.get("REPRO_COLUMNAR_MIN_FACTS", "").strip()
-    return int(raw) if raw.isdigit() else COLUMNAR_MIN_FACTS
 
 
 def _cost_threshold() -> float:
@@ -745,7 +741,8 @@ def columnar_holds(compiled, db: Database, profile=None) -> bool:
 _ROUTE_ATTR = "_columnar_routes"
 
 
-def prefer_columnar(compiled, db: Database, config=None) -> bool:
+def prefer_columnar(compiled, db: Database,
+                    min_facts: Optional[int] = None) -> bool:
     """Should ``method="auto"`` take the columnar backend for this run?
 
     Three gates, cheapest first: the query must be open (sentences are
@@ -755,16 +752,15 @@ def prefer_columnar(compiled, db: Database, config=None) -> bool:
     execution finishes before column encoding pays off.  Plans touching
     Adom* stay on the tuple executor (their batch form is a decode
     fallback; QP109 reports this statically).  Decisions are cached on
-    the database, per compiled query and clock.  ``config`` (a
-    :class:`repro.obs.RunConfig`) overrides the env-derived size
-    threshold — how :class:`repro.obs.ExecutionOptions` reaches this
-    gate.
+    the database, per compiled query and clock.  ``min_facts`` (an
+    :class:`repro.obs.ExecutionOptions` field) overrides the
+    env-derived size threshold.
     """
     if not compiled.free:
         return False
-    threshold = (config.resolved_columnar_min_facts()
-                 if config is not None else _min_facts())
-    if db.size() < threshold:
+    if min_facts is None:
+        min_facts = env_columnar_min_facts()
+    if db.size() < (COLUMNAR_MIN_FACTS if min_facts is None else min_facts):
         return False
     routes = getattr(db, _ROUTE_ATTR, None)
     if routes is None:

@@ -40,9 +40,9 @@ Backends
     The same plan through the vectorized batch executor
     (:mod:`repro.columnar`); sentences keep the probe mode.
 ``sql``
-    The plan as one SELECT inside a persistent store's integer-encoded
-    sqlite mirror (:mod:`repro.storage.pushdown`); a plain in-memory
-    database loads the formula SQL into a fresh connection instead.
+    The plan as one SELECT inside the database's integer-encoded sqlite
+    mirror (:mod:`repro.storage.pushdown`), built in memory at the
+    first ``sql`` call on any database and delta-maintained after.
 """
 
 from __future__ import annotations
@@ -52,18 +52,13 @@ from typing import Any, Callable, Dict, FrozenSet, NamedTuple, Optional, Tuple
 
 from ..columnar import columnar_holds, columnar_rows, prefer_columnar
 from ..db.database import Database
-from ..db.sqlite_backend import run_sentence_sql
 from ..fo.eval import Evaluator
 from ..obs.options import ExecutionOptions, close_tracer, open_tracer
 from ..obs.profile import PlanProfile
 from ..obs.trace import NULL_TRACER
-from ..storage.pushdown import (
-    count_legacy_sql,
-    native_sql_answers,
-    native_sql_holds,
-)
+from ..storage.pushdown import native_sql_answers, native_sql_holds
 from .brute_force import is_certain_brute_force
-from .certain_answers import _certain_answers_sql, candidate_values, open_rewriting
+from .certain_answers import candidate_values, open_rewriting
 from .is_certain import is_certain
 
 __all__ = ["BACKENDS", "BOOLEAN", "METHODS", "OPEN", "Backend", "route", "run"]
@@ -111,22 +106,6 @@ def _rewriting_rows(open_query, plan, db: Database, profile) -> Rows:
     )
 
 
-def _sql_holds(engine, plan, db: Database, profile) -> bool:
-    result = native_sql_holds(plan, db)
-    if result is None:
-        count_legacy_sql()
-        result = run_sentence_sql(engine.rewriting, db)
-    return result
-
-
-def _sql_rows(open_query, plan, db: Database, profile) -> Rows:
-    rows = native_sql_answers(plan, db)
-    if rows is None:
-        count_legacy_sql()
-        rows = _certain_answers_sql(open_query, db)
-    return rows
-
-
 #: Every backend by name, in cross-validation order.
 BACKENDS: Dict[str, Backend] = {b.name: b for b in (
     Backend("brute",
@@ -154,7 +133,11 @@ BACKENDS: Dict[str, Backend] = {b.name: b for b in (
             lambda open_query, plan, db, profile:
                 columnar_rows(plan, db, profile=profile),
             uses_plan=True),
-    Backend("sql", _sql_holds, _sql_rows, uses_plan=True),
+    Backend("sql",
+            lambda engine, plan, db, profile: native_sql_holds(plan, db),
+            lambda open_query, plan, db, profile:
+                native_sql_answers(plan, db),
+            uses_plan=True),
 )}
 
 #: The backend names ``method=`` accepts besides ``auto``.
@@ -169,7 +152,7 @@ def route(plan, db: Database, options: ExecutionOptions) -> str:
     """
     if plan is None:
         return "brute"
-    if prefer_columnar(plan, db, config=options.run_config()):
+    if prefer_columnar(plan, db, options.columnar_min_facts):
         return "columnar"
     return "compiled"
 

@@ -31,7 +31,6 @@ from ..core.classify import Verdict, classify
 from ..core.query import Query, QueryError
 from ..core.terms import Constant, PlaceholderConstant, Variable, is_variable
 from ..db.database import Database
-from ..db.sqlite_backend import create_tables, load_database
 from ..fo.compile import CompiledQuery, plan_cache
 from ..fo.formula import (
     And,
@@ -45,7 +44,7 @@ from ..fo.formula import (
     substitute_terms,
 )
 from ..fo.simplify import simplify_fixpoint
-from ..fo.sql import SQLCompiler, decode_value
+from ..fo.sql import SQLCompiler
 from .rewriting import NotInFO, Rewriter
 
 
@@ -308,7 +307,14 @@ def certain_answers(
 
 
 def certain_answers_sql_query(open_query: OpenQuery, db: Database) -> str:
-    """The single SQL SELECT returning every certain answer."""
+    """The paper's single SQL SELECT returning every certain answer.
+
+    It reads the TEXT-encoded tables of
+    :func:`repro.db.sqlite_backend.load_database`; decode each returned
+    value with :func:`repro.fo.sql.decode_value`.  ``method="sql"``
+    does not run this: it runs the compiled plan inside the database's
+    sqlite mirror (:mod:`repro.storage.pushdown`).
+    """
     formula = open_rewriting(open_query)
     if free_variables(formula) - set(open_query.free):
         raise NotInFO("rewriting has unexpected free variables")
@@ -331,28 +337,6 @@ def certain_answers_sql_query(open_query: OpenQuery, db: Database) -> str:
         f"FROM {', '.join(from_items)}\n"
         f"WHERE {body}"
     )
-
-
-def _certain_answers_sql(
-    open_query: OpenQuery, db: Database, conn=None
-) -> FrozenSet[Tuple]:
-    """Run the single-SELECT form, on ``conn`` when a persistent
-    store's mirror supplies one (kept open), else on a freshly loaded
-    in-memory connection (closed afterwards)."""
-    own_conn = conn is None
-    conn = load_database(db) if conn is None else conn
-    try:
-        formula = open_rewriting(open_query)
-        needed = schemas_of(formula)
-        missing = [s for name, s in needed.items() if name not in db.schemas]
-        if missing:
-            create_tables(conn, missing)
-        sql = certain_answers_sql_query(open_query, db)
-        rows = conn.execute(sql).fetchall()
-        return frozenset(tuple(decode_value(v) for v in row) for row in rows)
-    finally:
-        if own_conn:
-            conn.close()
 
 
 def cross_validate_answers(

@@ -69,6 +69,11 @@ def scaling_table(people_sizes=(10, 40, 160), seed: int = 18) -> Table:
                                    "columnar")
         assert answers_sql == answers_rw == answers_col
         table.add_row(people, db.size(), len(answers_sql), t_sql, t_rw, t_col)
+    table.add_note(
+        "t_sql is the first sql call on each database, so it includes "
+        "building the in-memory sqlite mirror; the SELECT is the "
+        "compiled plan IR translated by repro.storage.sqlgen."
+    )
     return table
 
 

@@ -13,14 +13,11 @@ package makes all of them *measurable* instead of inferable from end-to-end wall
 * :mod:`repro.obs.metrics` — :class:`EngineMetrics` /
   :class:`MetricsRegistry`, one consistent schema for every counter
   source;
-* :mod:`repro.obs.config` — :class:`RunConfig`, the runtime knobs
-  (``REPRO_TRACE_FILE``, ``REPRO_SQL_STMT_CACHE``,
-  ``REPRO_COLUMNAR_MIN_FACTS``) behind one dataclass with env vars as
-  fallback defaults;
 * :mod:`repro.obs.options` — :class:`ExecutionOptions`, the frozen
-  per-call request object (method, trace, routing gate) built
-  on :class:`RunConfig`, with a strict JSON round-trip that doubles as
-  the ``repro serve`` wire form (``docs/serve.schema.json``);
+  per-call request object (method, trace, routing gate) with env vars
+  (``REPRO_TRACE_FILE``, ``REPRO_COLUMNAR_MIN_FACTS``) as fallback
+  defaults, and a strict JSON round-trip that doubles as the ``repro
+  serve`` wire form (``docs/serve.schema.json``);
 * :mod:`repro.obs.schema` — a dependency-free JSON-Schema-subset
   validator used by the ``trace-smoke`` CI job against
   ``docs/trace.schema.json``.
@@ -29,7 +26,6 @@ See ``docs/OBSERVABILITY.md`` for the span model and the metrics
 schema.
 """
 
-from .config import RunConfig
 from .metrics import EngineMetrics, MetricsRegistry, collect_metrics, default_registry
 from .options import KNOWN_METHODS, ExecutionOptions, OptionsError
 from .profile import (
@@ -52,7 +48,6 @@ __all__ = [
     "OperatorStats",
     "OptionsError",
     "PlanProfile",
-    "RunConfig",
     "SchemaError",
     "Span",
     "Tracer",

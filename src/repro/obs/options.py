@@ -1,8 +1,8 @@
 """``ExecutionOptions``: one frozen request object for every engine call.
 
 :class:`ExecutionOptions` holds the whole call surface in a single
-frozen dataclass built on :class:`repro.obs.config.RunConfig` (explicit
-fields beat env fallbacks), with a strict JSON round-trip
+frozen dataclass (explicit fields beat env fallbacks, see
+:meth:`ExecutionOptions.from_env`), with a strict JSON round-trip
 (:meth:`to_dict` / :meth:`from_dict`) so the same object *is* the wire
 form of a ``repro serve`` request body (``docs/serve.schema.json``).
 
@@ -15,16 +15,16 @@ module-level :func:`repro.cqa.certain_answers.certain_answers` as the
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, fields, replace
 from typing import Any, Dict, Mapping, Optional, Tuple, Union
-
-from .config import RunConfig
 
 __all__ = [
     "ExecutionOptions",
     "KNOWN_METHODS",
     "OptionsError",
     "close_tracer",
+    "env_columnar_min_facts",
     "open_tracer",
 ]
 
@@ -35,15 +35,15 @@ KNOWN_METHODS: Tuple[str, ...] = (
     "sql",
 )
 
-#: Fields that require a non-negative int when set (0 is meaningful:
-#: "no threshold" / "cache disabled").
-_NONNEGATIVE_FIELDS = ("sql_stmt_cache", "columnar_min_facts")
 
-#: RunConfig fields an ExecutionOptions shares (same names, same
-#: semantics); used to build :meth:`ExecutionOptions.run_config`.
-_SHARED_CONFIG_FIELDS = (
-    "trace", "trace_file", "sql_stmt_cache", "columnar_min_facts",
-)
+def env_columnar_min_facts(
+    env: Optional[Mapping[str, str]] = None,
+) -> Optional[int]:
+    """``REPRO_COLUMNAR_MIN_FACTS`` as a non-negative int (None when
+    unset or malformed)."""
+    raw = ((os.environ if env is None else env)
+           .get("REPRO_COLUMNAR_MIN_FACTS") or "").strip()
+    return int(raw) if raw.isdigit() else None
 
 
 class OptionsError(ValueError):
@@ -64,21 +64,18 @@ class ExecutionOptions:
         additionally appends span JSONL after the call (and implies
         ``trace``).  When the caller passes no explicit ``tracer=``,
         the engine creates and flushes one from these fields.
-    ``sql_stmt_cache``
-        Statement-cache capacity of the ``sql`` method's sqlite mirror
-        (env fallback: ``REPRO_SQL_STMT_CACHE``).
     ``columnar_min_facts``
-        Size gate of the vectorized router (env fallback:
-        ``REPRO_COLUMNAR_MIN_FACTS``).
+        Size gate of the vectorized router, 0 meaning no gate (env
+        fallback: ``REPRO_COLUMNAR_MIN_FACTS``; unset: 4000).
 
-    Set fields always beat environment values; unset (``None``) fields
-    fall back to the env-derived defaults via :meth:`run_config`.
+    Set fields always beat environment values; an unset (``None``)
+    ``columnar_min_facts`` falls back to the environment when ``auto``
+    routes (:func:`repro.columnar.prefer_columnar`).
     """
 
     method: str = "auto"
     trace: bool = False
     trace_file: Optional[str] = None
-    sql_stmt_cache: Optional[int] = None
     columnar_min_facts: Optional[int] = None
 
     def __post_init__(self) -> None:
@@ -87,13 +84,12 @@ class ExecutionOptions:
                 f"unknown method {self.method!r}; expected one of "
                 f"{KNOWN_METHODS}"
             )
-        for name in _NONNEGATIVE_FIELDS:
-            value = getattr(self, name)
-            if value is not None and (
-                not isinstance(value, int) or isinstance(value, bool)
-                or value < 0
-            ):
-                raise OptionsError(f"{name} must be a non-negative integer")
+        gate = self.columnar_min_facts
+        if gate is not None and (
+            not isinstance(gate, int) or isinstance(gate, bool) or gate < 0
+        ):
+            raise OptionsError(
+                "columnar_min_facts must be a non-negative integer")
         if not isinstance(self.trace, bool):
             raise OptionsError("trace must be a boolean")
         if self.trace_file is not None and not isinstance(self.trace_file, str):
@@ -151,13 +147,15 @@ class ExecutionOptions:
     ) -> "ExecutionOptions":
         """Env-derived defaults with explicit overrides winning.
 
-        Reads the same variables as :meth:`RunConfig.from_env`; a
-        ``None`` override keeps the env-derived value (the established
-        overrides-beat-env pattern).
+        Reads ``REPRO_TRACE_FILE`` and ``REPRO_COLUMNAR_MIN_FACTS``
+        (``env`` defaults to ``os.environ``); a ``None`` override keeps
+        the env-derived value.
         """
-        base = RunConfig.from_env(env)
+        if env is None:
+            env = os.environ
         merged: Dict[str, Any] = {
-            name: getattr(base, name) for name in _SHARED_CONFIG_FIELDS
+            "trace_file": (env.get("REPRO_TRACE_FILE") or "").strip() or None,
+            "columnar_min_facts": env_columnar_min_facts(env),
         }
         for key, value in overrides.items():
             if value is not None:
@@ -186,16 +184,6 @@ class ExecutionOptions:
     def tracing(self) -> bool:
         """Is tracing requested (explicitly or via a trace file)?"""
         return self.trace or self.trace_file is not None
-
-    def run_config(self) -> RunConfig:
-        """The :class:`RunConfig` this call runs under: set fields win,
-        unset fields fall back to the environment."""
-        return RunConfig.from_env(
-            trace=self.trace or None,
-            trace_file=self.trace_file,
-            sql_stmt_cache=self.sql_stmt_cache,
-            columnar_min_facts=self.columnar_min_facts,
-        )
 
     def make_tracer(self) -> Optional[Any]:
         """A fresh :class:`~repro.obs.trace.Tracer` when tracing is on."""

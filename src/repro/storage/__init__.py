@@ -6,8 +6,8 @@ written ahead to a CRC-framed, fsynced WAL (:mod:`repro.storage.wal`),
 checkpoints compact the log into atomic snapshots
 (:mod:`repro.storage.snapshot`), recovery replays the consistent prefix
 (:mod:`repro.storage.store`), and ``method="sql"`` pushes compiled
-first-order rewritings down to a delta-maintained sqlite mirror
-(:mod:`repro.storage.pushdown`).  :mod:`repro.storage.chaos` is the
+first-order rewritings down to a delta-maintained in-memory sqlite
+mirror of any database (:mod:`repro.storage.pushdown`).  :mod:`repro.storage.chaos` is the
 kill-9 harness that keeps the durability claim honest.
 
 See ``docs/STORAGE.md`` for the file formats and recovery protocol.
@@ -15,13 +15,11 @@ See ``docs/STORAGE.md`` for the file formats and recovery protocol.
 
 from .chaos import run_chaos
 from .pushdown import (
-    DEFAULT_SQL_STMT_CACHE,
+    STMT_CACHE_CAPACITY,
     SQLiteMirror,
-    mirror_capable,
     native_sql_answers,
     native_sql_holds,
     sql_mirror,
-    sql_stmt_cache_size,
 )
 from .sqlgen import CompiledSQL, compile_plan, supports_plan
 from .snapshot import SnapshotError, list_snapshots, read_snapshot, write_snapshot
@@ -56,11 +54,9 @@ __all__ = [
     "wal_sync_mode",
     "SQLiteMirror",
     "sql_mirror",
-    "mirror_capable",
     "native_sql_answers",
     "native_sql_holds",
-    "sql_stmt_cache_size",
-    "DEFAULT_SQL_STMT_CACHE",
+    "STMT_CACHE_CAPACITY",
     "CompiledSQL",
     "compile_plan",
     "supports_plan",

@@ -1,201 +1,94 @@
-"""SQL pushdown: certain answers as one query over a persistent mirror.
+"""SQL pushdown: certain answers as one query over a sqlite mirror.
 
 The paper's practicality claim — a consistent first-order rewriting is
 a single SQL query over the *inconsistent* database — runs natively
-here: a store keeps ``mirror.sqlite`` delta-consistent by subscribing
-to the same changelog the WAL rides, and :mod:`repro.storage.sqlgen`
-compiles the verified plan IR straight to one parameterized SELECT
-that sqlite executes end-to-end.  No per-call loading, no per-row
-Python decode: answer rows come back as dictionary codes and land in
-``array('q')`` columns (:meth:`ColumnarRelation.from_code_rows`).
+here: the first ``method="sql"`` call on any :class:`Database` attaches
+a process-local, in-memory sqlite mirror of it, which then stays
+delta-consistent by subscribing to the database's changelog (the same
+one a store's WAL rides).  :mod:`repro.storage.sqlgen` compiles the
+verified plan IR straight to one parameterized SELECT that sqlite
+executes end-to-end.  No per-call loading, no per-row Python decode:
+answer rows come back as dictionary codes and land in ``array('q')``
+columns (:meth:`ColumnarRelation.from_code_rows`).
 
-Mirror layout (format ``2``):
+Mirror layout:
 
-* one INTEGER table per relation, columns ``c0..c{n-1}`` holding
-  :class:`~repro.columnar.dictionary.ValueDictionary` codes, with a
-  full-tuple ``WITHOUT ROWID`` primary key (key columns first, so the
-  clustered index covers key-prefix lookups) plus a non-key suffix
-  index;
-* ``repro_dict`` — the persisted dictionary, verified (and replayed
-  into the in-process dictionary) on attach so codes stay stable
-  across process restarts;
+* one INTEGER table per relation, columns ``c0..c{n-1}`` holding codes
+  of the database's :class:`~repro.columnar.dictionary.ValueDictionary`
+  (shared with the columnar backend), with a full-tuple ``WITHOUT
+  ROWID`` primary key (key columns first, so the clustered index covers
+  key-prefix lookups) plus a non-key suffix index;
 * ``repro_adom`` — the refcounted active domain, maintained from the
   same deltas, which is what lets ``Adom*`` plans push down instead of
-  re-deriving the domain per query;
-* ``repro_meta`` — changelog clock + format marker.
+  re-deriving the domain per query.
 
-Delta application, dictionary growth, adom refcounts and the clock
-update share one sqlite transaction, so the file is never at an
-in-between version: a crash rolls back to the previous clock and the
-next attach rebuilds.
+Each changelog batch is applied in one sqlite transaction, and the
+mirror records the clock it reflects; a query that finds that clock
+behind the database (inside an open batch, too) reloads the mirror from
+the live facts first.  Nothing is persisted: a reopened
+store or a new process builds its mirror again at first use.
 
 Routing: ``method="auto"`` never picks this backend — no measured
-store size made it faster than the best in-memory backend
+database size made it faster than the best in-memory backend
 (``docs/PERFORMANCE.md``).  It runs only when ``method="sql"`` names
 it.
 """
 
 from __future__ import annotations
 
-import base64
-import pathlib
-import pickle
 import sqlite3
 import threading
 from collections import Counter, OrderedDict
-from typing import Dict, FrozenSet, Iterable, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, Tuple
 
 from ..columnar.dictionary import columnar_store
 from ..columnar.relation import ColumnarRelation
 from ..db.changelog import Changelog
 from ..db.database import Database
-from ..fo.sql import decode_value, encode_value, table_name
-from ..obs.config import DEFAULT_SQL_STMT_CACHE, RunConfig
+from ..fo.plan import PlanError
+from ..fo.sql import table_name
 from .sqlgen import ADOM_TABLE, compile_plan, plan_relations, supports_plan
 from .stats import STATS
 
-__all__ = ["SQLiteMirror", "sql_mirror", "mirror_capable",
-           "native_sql_answers", "native_sql_holds", "count_legacy_sql",
-           "sql_stmt_cache_size", "DEFAULT_SQL_STMT_CACHE", "MIRROR_FORMAT"]
+__all__ = ["SQLiteMirror", "sql_mirror", "detach_mirror",
+           "native_sql_answers", "native_sql_holds", "STMT_CACHE_CAPACITY"]
 
-MIRROR_FILE = "mirror.sqlite"
 _MIRROR_ATTR = "_sql_mirror"
-_META_TABLE = "repro_meta"
-_DICT_TABLE = "repro_dict"
-_INTERNAL_TABLES = frozenset((_META_TABLE, _DICT_TABLE, ADOM_TABLE))
 
-#: Bumped whenever the on-disk layout changes; a mismatch (including
-#: any pre-integer TEXT mirror) forces one full rebuild.
-MIRROR_FORMAT = "2"
+#: Compiled-statement LRU entries per mirror.
+STMT_CACHE_CAPACITY = 64
 
-
-def sql_stmt_cache_size() -> int:
-    """The ``REPRO_SQL_STMT_CACHE`` statement-cache capacity."""
-    return RunConfig.from_env().resolved_sql_stmt_cache()
-
-
-def _dict_text(value: object) -> str:
-    """Serialize one dictionary value for ``repro_dict``.
-
-    :func:`repro.fo.sql.encode_value` covers the workload types; query
-    constants of other types fall back to pickle under a ``p:`` sigil
-    (``encode_value`` never emits it).
-    """
-    try:
-        return encode_value(value)
-    except TypeError:
-        return "p:" + base64.b64encode(pickle.dumps(value)).decode("ascii")
-
-
-def _dict_value(text: str) -> object:
-    if text.startswith("p:"):
-        return pickle.loads(base64.b64decode(text[2:]))
-    return decode_value(text)
+#: Serializes first attach, so concurrent first calls share one mirror.
+_ATTACH_LOCK = threading.Lock()
 
 
 class SQLiteMirror:
-    """A sqlite file kept delta-consistent with one database.
+    """An in-memory sqlite copy kept delta-consistent with one database.
 
-    Attach verifies three things before trusting the file: the format
-    marker, the changelog clock, and that the persisted dictionary
-    replays into the in-process :class:`ValueDictionary` with identical
-    codes (a fresh process replays it verbatim; a process whose
-    dictionary diverged — e.g. columnar ran first with a different
-    first-seen order — fails the check).  Any mismatch triggers one
-    full rebuild, after which queries push down with zero per-call
-    loading.
+    ``clock`` is the database clock the tables reflect.
     """
 
-    def __init__(self, db: Database, path: pathlib.Path):
+    def __init__(self, db: Database):
         self.db = db
-        self.path = path
         # Shared across a server's worker threads: Python's sqlite3 is
         # built serialized (threadsafety 3), and the mirror additionally
         # guards every statement + fetch + stmt-cache touch with one
         # re-entrant lock so a delta transaction is never interleaved
         # with a query on the same connection.
-        self.conn = sqlite3.connect(str(path), check_same_thread=False)
+        self.conn = sqlite3.connect(":memory:", check_same_thread=False)
         self._lock = threading.RLock()
         self.dictionary = columnar_store(db).dictionary
         self._known: set = set()
-        self._dict_rows = 0
         self._stmt_cache: "OrderedDict[Tuple, object]" = OrderedDict()
-        self._stmt_capacity = sql_stmt_cache_size()
-        self._ensure_meta()
-        if (self._meta("format") != MIRROR_FORMAT
-                or self._meta_clock() != db.clock
-                or not self._load_dictionary()):
-            self.rebuild()
-        else:
-            self._known = set(db.schemas)
-        db.subscribe(self._apply)
-
-    # -- metadata ------------------------------------------------------
-
-    def _ensure_meta(self) -> None:
-        cur = self.conn.cursor()
-        cur.execute(
-            f"CREATE TABLE IF NOT EXISTS {_META_TABLE} "
-            "(key TEXT PRIMARY KEY, value TEXT)")
-        cur.execute(
-            f"CREATE TABLE IF NOT EXISTS {_DICT_TABLE} "
-            "(code INTEGER PRIMARY KEY, value TEXT NOT NULL)")
-        cur.execute(
-            f"CREATE TABLE IF NOT EXISTS {ADOM_TABLE} "
-            "(code INTEGER PRIMARY KEY, refs INTEGER NOT NULL)")
-        self.conn.commit()
-
-    def _meta(self, key: str) -> Optional[str]:
-        row = self.conn.execute(
-            f"SELECT value FROM {_META_TABLE} WHERE key = ?", (key,)
-        ).fetchone()
-        return row[0] if row is not None else None
-
-    def _set_meta(self, key: str, value: str) -> None:
+        # Set while the tables hold a state loaded inside an open batch:
+        # the batch's net changelog is relative to the state before it,
+        # so it must not be applied on top of part of itself.
+        self._mid_batch = False
         self.conn.execute(
-            f"INSERT OR REPLACE INTO {_META_TABLE} VALUES (?, ?)",
-            (key, value))
-
-    def _meta_clock(self) -> Optional[int]:
-        raw = self._meta("clock")
-        return int(raw) if raw is not None else None
-
-    @property
-    def clock(self) -> Optional[int]:
-        return self._meta_clock()
-
-    # -- dictionary persistence ----------------------------------------
-
-    def _load_dictionary(self) -> bool:
-        """Replay ``repro_dict`` into the in-process dictionary.
-
-        True iff every persisted ``(code, value)`` pair lands on the
-        same code — the condition under which the mirror's integer
-        columns are meaningful to this process.
-        """
-        rows = self.conn.execute(
-            f"SELECT code, value FROM {_DICT_TABLE} ORDER BY code"
-        ).fetchall()
-        encode = self.dictionary.encode
-        for code, text in rows:
-            try:
-                value = _dict_value(text)
-            except Exception:
-                return False
-            if encode(value) != code:
-                return False
-        self._dict_rows = len(rows)
-        return True
-
-    def _persist_dict(self, cur: sqlite3.Cursor) -> None:
-        """Append dictionary codes assigned since the last commit."""
-        values = self.dictionary.values
-        if self._dict_rows < len(values):
-            cur.executemany(
-                f"INSERT OR REPLACE INTO {_DICT_TABLE} VALUES (?, ?)",
-                [(code, _dict_text(values[code]))
-                 for code in range(self._dict_rows, len(values))])
-            self._dict_rows = len(values)
+            f"CREATE TABLE {ADOM_TABLE} "
+            "(code INTEGER PRIMARY KEY, refs INTEGER NOT NULL)")
+        self._load()
+        db.subscribe(self._apply)
 
     # -- schema --------------------------------------------------------
 
@@ -238,22 +131,21 @@ class SQLiteMirror:
     # -- synchronization -----------------------------------------------
 
     def rebuild(self) -> None:
-        """Drop and reload every relation at the database's clock."""
-        with self._lock:
-            self._rebuild()
+        """Drop and reload every relation at the database's clock.
 
-    def _rebuild(self) -> None:
+        Needed when a query finds the mirror's clock behind the
+        database, or a batch commits over tables loaded inside it; each
+        run counts in ``mirror_rebuilds``.
+        """
+        with self._lock:
+            self._load()
+            STATS["pushdown"]["mirror_rebuilds"] += 1
+
+    def _load(self) -> None:
         cur = self.conn.cursor()
-        tables = [
-            row[0] for row in cur.execute(
-                "SELECT name FROM sqlite_master WHERE type = 'table'")
-            if row[0] not in _INTERNAL_TABLES
-        ]
-        for table in tables:
-            cur.execute(f'DROP TABLE IF EXISTS "{table}"')
-        cur.execute(f"DELETE FROM {_DICT_TABLE}")
+        for name in self._known:
+            cur.execute(f"DROP TABLE IF EXISTS {table_name(name)}")
         cur.execute(f"DELETE FROM {ADOM_TABLE}")
-        self._dict_rows = 0
         self._known = set()
         self._stmt_cache.clear()
         encode = self.dictionary.encode
@@ -274,12 +166,10 @@ class SQLiteMirror:
             cur.executemany(
                 f"INSERT INTO {ADOM_TABLE} VALUES (?, ?)",
                 sorted(adom.items()))
-        self._persist_dict(cur)
-        self._set_meta("clock", str(self.db.clock))
-        self._set_meta("format", MIRROR_FORMAT)
         cur.execute("ANALYZE")
         self.conn.commit()
-        STATS["pushdown"]["mirror_rebuilds"] += 1
+        self.clock = self.db.clock
+        self._mid_batch = self.db.in_batch
 
     def _apply(self, log: Changelog) -> None:
         """Changelog listener: one batch, one sqlite transaction.
@@ -292,6 +182,15 @@ class SQLiteMirror:
             self._apply_locked(log)
 
     def _apply_locked(self, log: Changelog) -> None:
+        if log.version <= self.clock:
+            # A query reloaded the tables at this clock or later: from
+            # an earlier listener, or inside the batch after its last
+            # change.  Either way they hold the published state.
+            self._mid_batch = False
+            return
+        if self._mid_batch:
+            self.rebuild()
+            return
         cur = self.conn.cursor()
         encode = self.dictionary.encode
         rows = 0
@@ -326,9 +225,8 @@ class SQLiteMirror:
                 "refs = refs + excluded.refs", changes)
             cur.execute(f"DELETE FROM {ADOM_TABLE} WHERE refs <= 0")
             STATS["pushdown"]["adom_delta_rows"] += len(changes)
-        self._persist_dict(cur)
-        self._set_meta("clock", str(log.version))
         self.conn.commit()
+        self.clock = log.version
         STATS["pushdown"]["mirror_delta_rows"] += rows
 
     def refresh_stats(self) -> None:
@@ -347,51 +245,50 @@ class SQLiteMirror:
         # schema count so a post-attach ``add_relation`` recompiles
         # scans that previously compiled to the empty relation.
         key = (compiled.plan, probe, len(self.db.schemas))
-        if self._stmt_capacity:
-            hit = self._stmt_cache.get(key)
-            if hit is not None:
-                self._stmt_cache.move_to_end(key)
-                STATS["pushdown"]["stmt_cache_hits"] += 1
-                return hit
-            STATS["pushdown"]["stmt_cache_misses"] += 1
+        hit = self._stmt_cache.get(key)
+        if hit is not None:
+            self._stmt_cache.move_to_end(key)
+            STATS["pushdown"]["stmt_cache_hits"] += 1
+            return hit
+        STATS["pushdown"]["stmt_cache_misses"] += 1
         stmt = compile_plan(compiled.plan, self.db.schemas,
                             compiled.constants, probe=probe)
-        if self._stmt_capacity:
-            self._stmt_cache[key] = stmt
-            while len(self._stmt_cache) > self._stmt_capacity:
-                self._stmt_cache.popitem(last=False)
+        self._stmt_cache[key] = stmt
+        while len(self._stmt_cache) > STMT_CACHE_CAPACITY:
+            self._stmt_cache.popitem(last=False)
         return stmt
 
-    def _execute(self, compiled, probe: bool):
+    def _execute(self, compiled, probe: bool) -> sqlite3.Cursor:
         plan = compiled.plan
         if not supports_plan(plan):
-            return None
+            raise PlanError(
+                "method='sql' cannot run this plan: it contains a node "
+                "type with no SQL translation (storage.sqlgen)")
+        # A clock behind the database means a changelog never arrived
+        # (a listener ahead of the mirror raised), has not arrived yet
+        # (that listener is running this query), or is still staged in
+        # an open batch.  Reload from the live facts, so the answer
+        # matches the other backends; ``_apply`` then skips the late
+        # batch, or reloads again at commit over a mid-batch load.
+        if self.clock != self.db.clock:
+            self.rebuild()
         self.ensure_tables(plan_relations(plan))
         stmt = self._statement(compiled, probe)
         encode = self.dictionary.encode
         params = [encode(v) for v in stmt.params]
-        return stmt, self.conn.execute(stmt.sql, params)
+        return self.conn.execute(stmt.sql, params)
 
-    def holds(self, compiled) -> Optional[bool]:
-        """Run the boolean probe form; None when unsupported."""
+    def holds(self, compiled) -> bool:
+        """Run the boolean probe form."""
         with self._lock:
-            executed = self._execute(compiled, probe=True)
-            if executed is None:
-                return None
-            _, cur = executed
-            return bool(cur.fetchone()[0])
+            return bool(self._execute(compiled, probe=True).fetchone()[0])
 
-    def answers(self, compiled) -> Optional[FrozenSet[Tuple]]:
+    def answers(self, compiled) -> FrozenSet[Tuple]:
         """Run the answer form, decoding code columns in bulk."""
         if not compiled.free:
-            held = self.holds(compiled)
-            return None if held is None else (
-                frozenset({()}) if held else frozenset())
+            return frozenset({()}) if self.holds(compiled) else frozenset()
         with self._lock:
-            executed = self._execute(compiled, probe=False)
-            if executed is None:
-                return None
-            _, cur = executed
+            cur = self._execute(compiled, probe=False)
             batch = ColumnarRelation.from_code_rows(compiled.free, cur)
         return frozenset(batch.to_rows(self.dictionary))
 
@@ -415,15 +312,12 @@ class SQLiteMirror:
         lookups = (pushdown["stmt_cache_hits"]
                    + pushdown["stmt_cache_misses"])
         return {
-            "path": str(self.path),
-            "format": self._meta("format"),
-            "clock": self._meta_clock(),
             "tables": tables,
             "adom_values": adom_values,
-            "dictionary_codes": self._dict_rows,
+            "dictionary_codes": len(self.dictionary.values),
             "stmt_cache": {
                 "entries": len(self._stmt_cache),
-                "capacity": self._stmt_capacity,
+                "capacity": STMT_CACHE_CAPACITY,
                 "hits": pushdown["stmt_cache_hits"],
                 "misses": pushdown["stmt_cache_misses"],
                 "hit_rate": (round(pushdown["stmt_cache_hits"] / lookups, 4)
@@ -432,60 +326,42 @@ class SQLiteMirror:
         }
 
     def close(self) -> None:
-        try:
-            self.db.unsubscribe(self._apply)
-        except Exception:  # pragma: no cover - already unsubscribed
-            pass
+        self.db.unsubscribe(self._apply)
         with self._lock:
             self.conn.close()
 
 
-def mirror_capable(db: Database) -> bool:
-    """Only an *open* persistent store carries a mirror."""
-    return bool(getattr(db, "is_open", False)) and hasattr(db, "storage_status")
-
-
-def sql_mirror(db: Database) -> Optional[SQLiteMirror]:
-    """The database's mirror, attached lazily; ``None`` off-store."""
-    if not mirror_capable(db):
-        return None
+def sql_mirror(db: Database) -> SQLiteMirror:
+    """The database's mirror, built and subscribed on first use."""
     mirror = getattr(db, _MIRROR_ATTR, None)
     if mirror is None:
-        mirror = SQLiteMirror(db, pathlib.Path(db.path) / MIRROR_FILE)
-        setattr(db, _MIRROR_ATTR, mirror)
+        with _ATTACH_LOCK:
+            mirror = getattr(db, _MIRROR_ATTR, None)
+            if mirror is None:
+                mirror = SQLiteMirror(db)
+                setattr(db, _MIRROR_ATTR, mirror)
     return mirror
 
 
-def native_sql_answers(compiled, db: Database) -> Optional[FrozenSet[Tuple]]:
-    """Answer rows of a compiled query, entirely inside sqlite.
+def detach_mirror(db: Database) -> None:
+    """Close and drop the database's mirror, if one is attached."""
+    mirror = getattr(db, _MIRROR_ATTR, None)
+    if mirror is not None:
+        mirror.close()
+        delattr(db, _MIRROR_ATTR)
 
-    ``None`` when the database carries no mirror or the plan has no
-    native translation — callers fall back to the legacy formula-SQL
-    path (which always loads a fresh in-memory connection; the
-    integer-coded mirror cannot run TEXT-encoded formula SQL).
-    """
-    mirror = sql_mirror(db)
-    if mirror is None:
-        return None
-    result = mirror.answers(compiled)
-    if result is not None:
-        STATS["pushdown"]["routed_sql"] += 1
-        STATS["pushdown"]["native_sql"] += 1
+
+def native_sql_answers(compiled, db: Database) -> FrozenSet[Tuple]:
+    """Answer rows of a compiled query, entirely inside sqlite."""
+    result = sql_mirror(db).answers(compiled)
+    STATS["pushdown"]["routed_sql"] += 1
+    STATS["pushdown"]["native_sql"] += 1
     return result
 
 
-def native_sql_holds(compiled, db: Database) -> Optional[bool]:
-    """Boolean certainty probe inside sqlite; ``None`` when unsupported."""
-    mirror = sql_mirror(db)
-    if mirror is None:
-        return None
-    result = mirror.holds(compiled)
-    if result is not None:
-        STATS["pushdown"]["routed_sql"] += 1
-        STATS["pushdown"]["native_sql"] += 1
+def native_sql_holds(compiled, db: Database) -> bool:
+    """Boolean certainty probe inside sqlite."""
+    result = sql_mirror(db).holds(compiled)
+    STATS["pushdown"]["routed_sql"] += 1
+    STATS["pushdown"]["native_sql"] += 1
     return result
-
-
-def count_legacy_sql() -> None:
-    """Account one formula-SQL fallback execution."""
-    STATS["pushdown"]["legacy_sql"] += 1

@@ -1,16 +1,17 @@
 """Compile the relational plan IR to one sqlite SELECT.
 
 This is the native half of the SQL pushdown: instead of re-deriving
-SQL from the first-order *formula* (:mod:`repro.fo.sql`, the legacy
-fallback), the PV-verified plan IR — the exact tree the in-memory
-executors run — is translated node-by-node into a chain of
-non-recursive CTEs ending in a single ``SELECT``.  The translation
-targets the integer-encoded mirror of :mod:`repro.storage.pushdown`:
-every column is a :class:`~repro.columnar.dictionary.ValueDictionary`
-code (INTEGER), constants are bound as parameters (encoded per call,
-never inlined), and the ``Adom*`` operators read the incrementally
-maintained ``repro_adom`` table instead of re-deriving the active
-domain per query.
+SQL from the first-order *formula* (:mod:`repro.fo.sql`, the paper
+artifact behind ``repro rewrite --sql``), the PV-verified plan IR —
+the exact tree the in-memory executors run — is translated
+node-by-node into a chain of non-recursive CTEs ending in a single
+``SELECT``.  The translation targets the integer-encoded mirror of
+:mod:`repro.storage.pushdown`: every column is a
+:class:`~repro.columnar.dictionary.ValueDictionary` code (INTEGER),
+constants are bound as parameters (encoded per call, never inlined),
+and the ``Adom*`` operators read the incrementally maintained
+``repro_adom`` table instead of re-deriving the active domain per
+query.
 
 Correctness leans on two invariants:
 

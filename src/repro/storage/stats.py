@@ -3,9 +3,9 @@
 One flat counter dict, mirroring the columnar backend's ``_STATS``
 pattern: subsystem code increments plain keys, the obs layer snapshots
 them through :func:`storage_stats`, and tests reset between cases with
-:func:`reset_storage_stats`.  The pushdown router keeps its own nested
-section so routing decisions (and the reasons SQL was *not* chosen)
-are auditable from one ``--stats`` dump.
+:func:`reset_storage_stats`.  The ``sql`` backend's mirror keeps its
+own nested section, so its work is auditable from one ``--stats``
+dump.
 """
 
 from __future__ import annotations
@@ -35,9 +35,8 @@ def _fresh() -> Dict[str, Any]:
         # SQL pushdown (method="sql") execution
         "pushdown": {
             "routed_sql": 0,           # queries served by the mirror
-            "native_sql": 0,           # of those, plan-IR→SQL native runs
-            "legacy_sql": 0,           # formula-SQL fallback executions
-            "mirror_rebuilds": 0,      # full reloads of the sqlite mirror
+            "native_sql": 0,           # plan-IR→SQL runs (== routed_sql)
+            "mirror_rebuilds": 0,      # reloads of a mirror that fell behind
             "mirror_delta_rows": 0,    # fact rows applied incrementally
             "adom_delta_rows": 0,      # active-domain refcount upserts
             "stmt_cache_hits": 0,      # compiled statements reused

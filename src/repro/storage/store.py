@@ -9,7 +9,6 @@ directory::
       snapshot-<clock>.snap   # atomic relation image (repro.storage.snapshot)
       wal-<base>.log          # records with LSN > base (repro.storage.wal)
       views.json              # registered-view manifest (re-registered on open)
-      mirror.sqlite           # SQL-pushdown mirror (repro.storage.pushdown)
 
 Durability protocol
 -------------------
@@ -17,10 +16,11 @@ Every genuine mutation (or committed batch) already produces one
 :class:`~repro.db.changelog.Changelog` on the database's change-capture
 layer; the store subscribes the WAL appender as the *first* changelog
 listener, so the batch is framed, CRC'd, and (under ``sync="always"``)
-fsynced **before** any other subscriber — incremental views, the SQL
-mirror — observes it.  The record's LSN is the changelog clock at
-commit time: one committed batch, one durable LSN, no translation
-between the in-memory and on-disk orderings.
+fsynced **before** any other subscriber — incremental views, the
+in-memory SQL mirror of :mod:`repro.storage.pushdown` — observes it.
+The record's LSN is the changelog clock at commit time: one committed
+batch, one durable LSN, no translation between the in-memory and
+on-disk orderings.
 
 Recovery (:meth:`PersistentDatabase.open`) loads the newest readable
 snapshot, replays every WAL record with ``lsn > clock`` in LSN order,
@@ -48,6 +48,7 @@ from ..core.terms import Constant, Variable, is_variable
 from ..db.changelog import Changelog
 from ..db.database import BatchError, Database
 from ..db.io import PathLike, _freeze, _thaw
+from .pushdown import detach_mirror
 from .snapshot import (
     SnapshotError,
     list_snapshots,
@@ -230,6 +231,9 @@ class PersistentDatabase(Database):
         # attached columnar store: its version-tagged scan caches are
         # meaningless against the recovered version counters (the
         # discard_all/replay regression in tests/test_storage_store.py).
+        # A SQL mirror attached while closed would lose its changelog
+        # subscription below, so it goes too.
+        detach_mirror(self)
         Database.__init__(self)
         if hasattr(self, "_columnar_store"):
             delattr(self, "_columnar_store")
@@ -346,10 +350,7 @@ class PersistentDatabase(Database):
             return
         if self.in_batch:
             raise BatchError("cannot close with an open batch; commit first")
-        mirror = getattr(self, "_sql_mirror", None)
-        if mirror is not None:
-            mirror.close()
-            delattr(self, "_sql_mirror")
+        detach_mirror(self)
         self.unsubscribe(self._on_commit)
         if self._wal is not None:
             self._wal.close()

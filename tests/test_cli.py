@@ -251,14 +251,13 @@ class TestDbCommands:
 
         assert main(["db", "stats", store]) == 0
         out = capsys.readouterr().out
-        assert "in sync" in out
+        assert "mirror:" in out
         assert "statement cache:" in out
         assert "pushdown:" in out
 
         assert main(["db", "stats", store, "--json"]) == 0
         report = json.loads(capsys.readouterr().out)
-        assert report["mirror"]["clock"] == report["store"]["clock"]
-        assert report["mirror"]["format"] == "2"
+        assert not {"path", "format", "clock"} & set(report["mirror"])
         tables = report["mirror"]["tables"]
         assert sum(info["rows"] for info in tables.values()) > 0
         # Tables with non-key columns carry the suffix index.

@@ -106,8 +106,8 @@ def test_two_free_variables_parity():
 @settings(max_examples=5, deadline=None)
 def test_store_backed_parity(seed, tmp_path_factory):
     # The same matrix on a WAL-backed store: method="sql" runs through
-    # the delta-maintained sqlite mirror instead of a per-call load,
-    # and every answer set must still match the brute-force oracle.
+    # the store's delta-maintained sqlite mirror, and every answer set
+    # must still match the brute-force oracle.
     from repro.storage import PersistentDatabase, storage_stats
 
     db = random_poll_database(
@@ -127,16 +127,15 @@ def test_store_backed_parity(seed, tmp_path_factory):
         assert_parity(OpenQuery(poll_qa(), [p]), store)
         after = storage_stats()["pushdown"]
         assert after["routed_sql"] > routed_before
-        # The mirror ran the compiled plan natively — the legacy
-        # formula-SQL load-and-run path never fired for the store.
+        # The mirror ran the compiled plan natively.
         assert after["native_sql"] > native_before
     finally:
         store.close()
 
 
 def test_store_reopen_is_invisible_to_sql_method(tmp_path_factory):
-    # Closing and reopening the store (mirror reattach, dictionary
-    # replay, fresh statement cache) must not change any answer.
+    # Closing and reopening the store (a fresh mirror, dictionary and
+    # statement cache) must not change any answer.
     from repro.storage import PersistentDatabase, storage_stats
 
     db = random_poll_database(6, 3, conflict_rate=0.5,
@@ -159,8 +158,8 @@ def test_store_reopen_is_invisible_to_sql_method(tmp_path_factory):
         rebuilds_before = storage_stats()["pushdown"]["mirror_rebuilds"]
         assert certain_answers(oq, store, "sql") == expected
         assert certain_answers(oq, store, "compiled") == expected
-        # Reattach found a format-2 mirror at the right clock with a
-        # replayable dictionary: no rebuild.
+        # The reopened store's mirror is built once at first use, never
+        # rebuilt.
         assert (storage_stats()["pushdown"]["mirror_rebuilds"]
                 == rebuilds_before)
     finally:

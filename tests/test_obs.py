@@ -4,8 +4,8 @@ Covers the span tracer (nesting, counters, JSONL round-trip, the no-op
 default), per-operator plan profiling and its renderers, trace-on/off
 answer parity for every execution method (the tracer must be a pure
 observer), the unified ``EngineMetrics`` API with its deprecated
-static shims, ``RunConfig`` env consolidation, the worker-counter
-merge bugfix, the JSON-Schema-subset validator, the pinned trace
+static shims, the env fallbacks of ``ExecutionOptions.from_env``, the
+worker-counter merge bugfix, the JSON-Schema-subset validator, the pinned trace
 document schema, and the new CLI surfaces (``plan --analyze``,
 ``certain/answers --trace [--json] [--trace-out]``).
 """
@@ -32,8 +32,8 @@ from repro.obs import (
     EngineMetrics,
     MetricsRegistry,
     NullTracer,
+    ExecutionOptions,
     PlanProfile,
-    RunConfig,
     Tracer,
     collect_metrics,
     profile_tree,
@@ -313,62 +313,62 @@ class TestEngineMetrics:
         assert "custom" not in registry.sources()
 
 # ----------------------------------------------------------------------
-# RunConfig
+# ExecutionOptions.from_env: the env fallbacks
 # ----------------------------------------------------------------------
 
 
-class TestRunConfig:
+class TestEnvOptions:
     def test_from_env_reads_consolidated_vars(self):
         env = {
             "REPRO_COLUMNAR_MIN_FACTS": "0",
             "REPRO_TRACE_FILE": "/tmp/t.jsonl",
         }
-        config = RunConfig.from_env(env)
-        assert config.columnar_min_facts == 0
-        assert config.trace_file == "/tmp/t.jsonl"
-        assert config.tracing is True  # trace file implies tracing
+        opts = ExecutionOptions.from_env(env)
+        assert opts.columnar_min_facts == 0
+        assert opts.trace_file == "/tmp/t.jsonl"
+        assert opts.tracing is True  # trace file implies tracing
 
     def test_from_env_defaults_and_garbage(self):
-        config = RunConfig.from_env({"REPRO_COLUMNAR_MIN_FACTS": "banana"})
-        assert config.columnar_min_facts is None
-        assert config.trace_file is None
-        assert config.tracing is False
-        assert config.make_tracer() is None
+        opts = ExecutionOptions.from_env(
+            {"REPRO_COLUMNAR_MIN_FACTS": "banana"})
+        assert opts.columnar_min_facts is None
+        assert opts.trace_file is None
+        assert opts.tracing is False
+        assert opts.make_tracer() is None
 
     def test_overrides_beat_env(self):
-        env = {"REPRO_COLUMNAR_MIN_FACTS": "3", "REPRO_SQL_STMT_CACHE": "100"}
-        config = RunConfig.from_env(env, columnar_min_facts=8, trace=True,
-                                    sql_stmt_cache=None)
-        assert config.columnar_min_facts == 8
-        assert config.sql_stmt_cache == 100  # None override kept env
-        assert isinstance(config.make_tracer(), Tracer)
+        env = {"REPRO_COLUMNAR_MIN_FACTS": "3",
+               "REPRO_TRACE_FILE": "/tmp/t.jsonl"}
+        opts = ExecutionOptions.from_env(env, columnar_min_facts=8,
+                                         trace=True, trace_file=None)
+        assert opts.columnar_min_facts == 8
+        assert opts.trace_file == "/tmp/t.jsonl"  # None override kept env
+        assert isinstance(opts.make_tracer(), Tracer)
 
-    def test_resolved_min_facts(self):
-        from repro.obs.config import DEFAULT_COLUMNAR_MIN_FACTS
+    @pytest.mark.parametrize("bad", ["-5", "0x10", "  ", "", "many", "4.5"],
+                             ids=["negative", "hex", "blank", "empty",
+                                  "word", "float"])
+    def test_malformed_gate_is_unset(self, bad):
+        from repro.obs.options import env_columnar_min_facts
 
-        assert (RunConfig().resolved_columnar_min_facts()
-                == DEFAULT_COLUMNAR_MIN_FACTS)
-        assert RunConfig(columnar_min_facts=5).resolved_columnar_min_facts() \
-            == 5
+        assert env_columnar_min_facts(
+            {"REPRO_COLUMNAR_MIN_FACTS": bad}) is None
 
-    def test_from_env_reads_sql_knobs(self):
-        config = RunConfig.from_env({"REPRO_SQL_STMT_CACHE": "0"})
-        assert config.sql_stmt_cache == 0
-        assert config.resolved_sql_stmt_cache() == 0
+    def test_unset_gate_uses_columnar_default(self, monkeypatch):
+        # An unset gate (no option, no env) is COLUMNAR_MIN_FACTS, the
+        # one place the 4000 default lives; 0 lifts the gate.
+        from repro.columnar.executor import COLUMNAR_MIN_FACTS, prefer_columnar
+        from repro.workloads.poll import random_poll_database
+        from repro.workloads.queries import poll_qa
 
-    @pytest.mark.parametrize("bad", ["-5", "0x10", "  ", "", "many", "4.5"])
-    def test_bad_sql_knobs_fall_back_to_defaults(self, bad):
-        from repro.obs.config import DEFAULT_SQL_STMT_CACHE
-
-        config = RunConfig.from_env({"REPRO_SQL_STMT_CACHE": bad})
-        assert config.sql_stmt_cache is None
-        assert config.resolved_sql_stmt_cache() == DEFAULT_SQL_STMT_CACHE
-
-    def test_sql_knob_defaults_without_env(self):
-        from repro.obs.config import DEFAULT_SQL_STMT_CACHE
-
-        config = RunConfig.from_env({})
-        assert config.resolved_sql_stmt_cache() == DEFAULT_SQL_STMT_CACHE
+        monkeypatch.delenv("REPRO_COLUMNAR_MIN_FACTS", raising=False)
+        monkeypatch.setenv("REPRO_COLUMNAR_COST", "0")
+        db = random_poll_database(8, 3, conflict_rate=0.5,
+                                  rng=random.Random(5))
+        assert db.size() < COLUMNAR_MIN_FACTS == 4000
+        compiled = OpenQuery(poll_qa(), [Variable("p")]).plan(db)
+        assert not prefer_columnar(compiled, db)
+        assert prefer_columnar(compiled, db, 0)
 
 
 # ----------------------------------------------------------------------

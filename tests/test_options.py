@@ -16,7 +16,7 @@ from repro.core.parser import parse_query
 from repro.cqa.engine import CertaintyEngine
 from repro.db.database import Database
 from repro.core.atoms import RelationSchema
-from repro.obs import ExecutionOptions, OptionsError, RunConfig
+from repro.obs import ExecutionOptions, OptionsError
 
 
 class TestConstruction:
@@ -35,7 +35,7 @@ class TestConstruction:
             ExecutionOptions(method="turbo")
 
     def test_nonnegative_fields_validated(self):
-        assert ExecutionOptions(sql_stmt_cache=0).sql_stmt_cache == 0
+        assert ExecutionOptions(columnar_min_facts=0).columnar_min_facts == 0
         with pytest.raises(OptionsError):
             ExecutionOptions(columnar_min_facts=-5)
 
@@ -43,12 +43,11 @@ class TestConstruction:
         with pytest.raises(OptionsError):
             ExecutionOptions(columnar_min_facts=True)
 
-    def test_five_fields(self):
+    def test_four_fields(self):
         from dataclasses import fields
 
         assert [f.name for f in fields(ExecutionOptions)] == [
-            "method", "trace", "trace_file", "sql_stmt_cache",
-            "columnar_min_facts"]
+            "method", "trace", "trace_file", "columnar_min_facts"]
 
     @pytest.mark.parametrize("payload", [
         {"method": "parallel"},
@@ -57,6 +56,7 @@ class TestConstruction:
         {"parallel_min_facts": 0},
         {"shard_factor": 4},
         {"sql_min_facts": 0},
+        {"sql_stmt_cache": 0},
     ])
     def test_retired_parallel_and_sql_routing_fields_rejected(self, payload):
         with pytest.raises(OptionsError):
@@ -93,7 +93,7 @@ class TestWireRoundTrip:
         assert ExecutionOptions().to_dict() == {"method": "auto"}
 
     def test_round_trip_preserves_everything(self):
-        opts = ExecutionOptions(method="sql", sql_stmt_cache=10,
+        opts = ExecutionOptions(method="sql", trace_file="t.jsonl",
                                 columnar_min_facts=7)
         assert ExecutionOptions.from_dict(opts.to_dict()) == opts
 
@@ -106,14 +106,6 @@ class TestWireRoundTrip:
         opts = ExecutionOptions.from_env(method="sql")
         assert opts.columnar_min_facts == 123
         assert opts.method == "sql"
-
-    def test_run_config_lift(self):
-        opts = ExecutionOptions(method="columnar", columnar_min_facts=3,
-                                sql_stmt_cache=2)
-        config = opts.run_config()
-        assert isinstance(config, RunConfig)
-        assert config.columnar_min_facts == 3
-        assert config.sql_stmt_cache == 2
 
 
 class TestEngineIntegration:

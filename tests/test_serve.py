@@ -200,6 +200,7 @@ class TestErrors:
         {"parallel_min_facts": 0},
         {"shard_factor": 4},
         {"sql_min_facts": 0},
+        {"sql_stmt_cache": 0},
     ])
     def test_retired_options_400(self, served, options):
         status, body = served.post(

@@ -1,16 +1,19 @@
 """SQL pushdown: the integer-encoded mirror behind ``method="sql"``.
 
-The mirror must stay delta-consistent with its store (one transaction
-per changelog batch, clock + dictionary + active-domain refcounts
-recorded alongside), rebuild exactly when its recorded clock, format,
-or persisted dictionary diverges, and serve only mirror-backed
-databases whose compiled plan the native SQL compiler can translate —
-which, since the ``repro_adom`` table, includes every ``Adom*``-bearing
-plan.
+Every database, plain or persistent, gets one in-memory mirror at its
+first ``sql`` call.  The mirror must stay delta-consistent with the
+database (one transaction per changelog batch, active-domain refcounts
+alongside), rebuild only when it missed a changelog or is read inside
+an open batch, attach exactly once under concurrent first calls, and
+refuse — loudly — a plan the native SQL compiler cannot translate.  Since the ``repro_adom`` table,
+every ``Adom*``-bearing plan translates.
 """
 
 from __future__ import annotations
 
+import sys
+import threading
+import time
 import types
 
 import pytest
@@ -20,13 +23,13 @@ from repro.core.parser import parse_query
 from repro.core.terms import Variable
 from repro.cqa.certain_answers import OpenQuery, certain_answers
 from repro.cqa.engine import CertaintyEngine
-from repro.fo.compile import plan_cache
 from repro.fo.plan import (
     AdomEq,
     AdomGuard,
     AdomProduct,
     Join,
     Plan,
+    PlanError,
     Project,
     Scan,
     execute_plan,
@@ -36,7 +39,7 @@ from repro.fo.sql import table_name
 from repro.workloads.queries import poll_qa
 from repro.storage import (
     PersistentDatabase,
-    mirror_capable,
+    SQLiteMirror,
     native_sql_answers,
     native_sql_holds,
     reset_storage_stats,
@@ -110,8 +113,8 @@ class TestMirror:
         db = make_store(tmp_path / "store")
         db.add_all("R", [("a", "1"), ("b", "2")])
         mirror = sql_mirror(db)
-        assert storage_stats()["pushdown"]["mirror_rebuilds"] == 1
         assert mirror_rows(mirror, "R") == {("a", "1"), ("b", "2")}
+        assert mirror.clock == db.clock
 
         db.add("R", ("c", "3"))
         db.discard("R", ("a", "1"))
@@ -122,7 +125,9 @@ class TestMirror:
         assert mirror_rows(mirror, "S") == {("9", "z"), ("8", "y")}
         assert mirror.clock == db.clock
         # Deltas, not rebuilds, carried all of that.
-        assert storage_stats()["pushdown"]["mirror_rebuilds"] == 1
+        stats = storage_stats()["pushdown"]
+        assert stats["mirror_delta_rows"] == 4
+        assert stats["mirror_rebuilds"] == 0
         db.close()
 
     def test_adom_table_tracks_active_domain(self, tmp_path):
@@ -139,73 +144,146 @@ class TestMirror:
         assert adom_values(mirror) == {"1", "z"}
         db.close()
 
-    def test_reattach_at_matching_clock_skips_rebuild(self, tmp_path):
+    def test_missed_changelog_rebuilds(self):
+        # A listener ahead of the mirror raises, so the mirror never
+        # sees that mutation; the next query notices its clock fell
+        # behind and reloads instead of answering from stale tables.
+        db = Database([RelationSchema("R", 2, 1), RelationSchema("S", 2, 1)])
+        db.add("R", ("a", "1"))
+
+        def fail(log):
+            raise RuntimeError("listener ahead of the mirror failed")
+
+        db.subscribe(fail)
+        oq = OpenQuery(parse_query(QUERY), [x])
+        assert certain_answers(oq, db, "sql") == {("a",)}
+        with pytest.raises(RuntimeError):
+            db.add("R", ("b", "2"))
+        assert sql_mirror(db).clock < db.clock
+        assert certain_answers(oq, db, "sql") == {("a",), ("b",)}
+        assert storage_stats()["pushdown"]["mirror_rebuilds"] == 1
+        assert sql_mirror(db).clock == db.clock
+
+    def test_query_from_an_earlier_listener(self):
+        # A listener ahead of the mirror that runs method="sql" sees the
+        # database ahead of the mirror, which reloads; the changelog
+        # reaching the mirror afterwards must not count its rows twice.
+        db = Database([RelationSchema("R", 2, 1), RelationSchema("S", 2, 1)])
+        oq = OpenQuery(parse_query(QUERY), [x])
+        seen = []
+
+        def query(log):
+            seen.append(certain_answers(oq, db, "sql"))
+
+        db.subscribe(query)
+        db.add("R", ("b", "2"))
+        db.add("R", ("c", "3"))
+        db.unsubscribe(query)
+        db.discard("R", ("c", "3"))
+        assert seen == [{("b",)}, {("b",), ("c",)}]
+        assert adom_values(sql_mirror(db)) == {"b", "2"}
+        assert certain_answers(oq, db, "sql") == {("b",)}
+
+    def test_mirror_built_mid_batch_reloads_at_commit(self):
+        # The mirror is first built inside a batch that then changes
+        # again.  The batch's net changelog is relative to the state
+        # before the batch, so applying it over the mid-batch load
+        # would keep R(c,3) and miscount the active domain.
+        db = Database([RelationSchema("R", 2, 1), RelationSchema("S", 2, 1)])
+        db.add("R", ("a", "1"))
+        oq = OpenQuery(parse_query(QUERY), [x])
+        db.begin_batch()
+        db.add("R", ("c", "3"))
+        assert certain_answers(oq, db, "sql") == {("a",), ("c",)}
+        db.discard("R", ("c", "3"))
+        db.add("R", ("d", "4"))
+        db.commit()
+        assert (certain_answers(oq, db, "sql")
+                == certain_answers(oq, db, "compiled") == {("a",), ("d",)})
+        assert adom_values(sql_mirror(db)) == set(db.active_domain())
+        db.add("S", ("4", "d"))
+        assert (certain_answers(oq, db, "sql")
+                == certain_answers(oq, db, "compiled") == {("a",)})
+        assert adom_values(sql_mirror(db)) == set(db.active_domain())
+
+    def test_query_mid_batch_sees_the_batch(self):
+        # An attached mirror queried inside a batch answers from the
+        # live facts, as the other backends do, and the commit leaves
+        # it exact.  A query after the batch's last change makes the
+        # commit a no-op for the mirror; later deltas then apply.
+        db = Database([RelationSchema("R", 2, 1), RelationSchema("S", 2, 1)])
+        db.add("R", ("a", "1"))
+        oq = OpenQuery(parse_query(QUERY), [x])
+        assert certain_answers(oq, db, "sql") == {("a",)}
+        with db.batch():
+            db.discard("R", ("a", "1"))
+            db.add("R", ("b", "2"))
+            assert (certain_answers(oq, db, "sql")
+                    == certain_answers(oq, db, "compiled") == {("b",)})
+            db.add("S", ("2", "b"))
+        assert (certain_answers(oq, db, "sql")
+                == certain_answers(oq, db, "compiled") == set())
+        assert adom_values(sql_mirror(db)) == set(db.active_domain())
+
+        with db.batch():
+            db.add("R", ("e", "5"))
+            assert certain_answers(oq, db, "sql") == {("e",)}
+        rebuilds = storage_stats()["pushdown"]["mirror_rebuilds"]
+        db.add("R", ("f", "6"))
+        assert certain_answers(oq, db, "sql") == {("e",), ("f",)}
+        assert storage_stats()["pushdown"]["mirror_rebuilds"] == rebuilds
+        assert adom_values(sql_mirror(db)) == set(db.active_domain())
+
+    def test_no_mirror_file_on_disk(self, tmp_path):
         db = make_store(tmp_path / "store")
         db.add("R", ("a", "1"))
-        sql_mirror(db)
+        oq = OpenQuery(parse_query(QUERY), [x])
+        assert certain_answers(oq, db, "sql") == {("a",)}
+        db.checkpoint()
         db.close()
-        reset_storage_stats()
+        assert not list((tmp_path / "store").glob("mirror*"))
 
-        # A fresh process has an empty in-process dictionary; the
-        # persisted repro_dict replays into it code-for-code, so the
-        # integer columns stay meaningful without a rebuild.
-        db2 = PersistentDatabase(tmp_path / "store")
-        mirror = sql_mirror(db2)
-        assert storage_stats()["pushdown"]["mirror_rebuilds"] == 0
-        assert mirror_rows(mirror, "R") == {("a", "1")}
-        db2.close()
-
-    def test_diverged_dictionary_rebuilds(self, tmp_path):
+    def test_concurrent_first_attach_builds_one_mirror(self, tmp_path,
+                                                       monkeypatch):
+        # Two first calls released together must share one mirror: one
+        # build, one changelog listener.  Construction is slowed so the
+        # unguarded check-then-set window is wide open.
         db = make_store(tmp_path / "store")
         db.add_all("R", [("a", "1"), ("b", "2")])
-        sql_mirror(db)
+        built = []
+        real_init = SQLiteMirror.__init__
+
+        def slow_init(self, *args):
+            built.append(self)
+            time.sleep(0.05)
+            real_init(self, *args)
+
+        monkeypatch.setattr(SQLiteMirror, "__init__", slow_init)
+        barrier = threading.Barrier(4, timeout=10)
+        got = []
+
+        def attach():
+            barrier.wait()
+            got.append(sql_mirror(db))
+
+        threads = [threading.Thread(target=attach) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=10)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(built) == 1
+        assert len(got) == 4 and all(m is got[0] for m in got)
+        listeners = [f for f in db._listeners
+                     if isinstance(getattr(f, "__self__", None),
+                                   SQLiteMirror)]
+        assert len(listeners) == 1
         db.close()
-        reset_storage_stats()
-
-        db2 = PersistentDatabase(tmp_path / "store")
-        # Prime the in-process dictionary in a different first-seen
-        # order than the persisted one before the mirror attaches.
-        from repro.columnar.dictionary import columnar_store
-
-        columnar_store(db2).dictionary.encode("something-new")
-        mirror = sql_mirror(db2)
-        assert storage_stats()["pushdown"]["mirror_rebuilds"] == 1
-        assert mirror_rows(mirror, "R") == {("a", "1"), ("b", "2")}
-        db2.close()
-
-    def test_stale_mirror_rebuilds(self, tmp_path):
-        db = make_store(tmp_path / "store")
-        db.add("R", ("a", "1"))
-        sql_mirror(db)
-        db.close()
-        # Mutate without attaching the mirror: its clock goes stale.
-        db2 = PersistentDatabase(tmp_path / "store")
-        db2.add("R", ("b", "2"))
-        db2.close()
-        reset_storage_stats()
-
-        db3 = PersistentDatabase(tmp_path / "store")
-        mirror = sql_mirror(db3)
-        assert storage_stats()["pushdown"]["mirror_rebuilds"] == 1
-        assert mirror_rows(mirror, "R") == {("a", "1"), ("b", "2")}
-        db3.close()
-
-    def test_old_text_mirror_format_rebuilds(self, tmp_path):
-        db = make_store(tmp_path / "store")
-        db.add("R", ("a", "1"))
-        mirror = sql_mirror(db)
-        # Forge a pre-integer mirror: wrong format marker, same clock.
-        mirror.conn.execute(
-            "INSERT OR REPLACE INTO repro_meta VALUES ('format', '1')")
-        mirror.conn.commit()
-        db.close()
-        reset_storage_stats()
-
-        db2 = PersistentDatabase(tmp_path / "store")
-        mirror2 = sql_mirror(db2)
-        assert storage_stats()["pushdown"]["mirror_rebuilds"] == 1
-        assert mirror_rows(mirror2, "R") == {("a", "1")}
-        db2.close()
 
     def test_tables_are_integer_with_indexes(self, tmp_path):
         db = make_store(tmp_path / "store")
@@ -234,25 +312,53 @@ class TestMirror:
         db.close()
         assert not hasattr(db, "_sql_mirror")
 
+    def test_reopen_drops_mirror_attached_while_closed(self, tmp_path):
+        # open() resets the changelog listeners, so a mirror attached
+        # to the closed store must not survive into the reopened one.
+        db = make_store(tmp_path / "store")
+        db.add("R", ("a", "1"))
+        db.close()
+        oq = OpenQuery(parse_query(QUERY), [x])
+        assert certain_answers(oq, db, "sql") == {("a",)}
+        db.open()
+        db.add("R", ("b", "2"))
+        assert certain_answers(oq, db, "sql") == {("a",), ("b",)}
+        db.add("R", ("c", "3"))
+        assert certain_answers(oq, db, "sql") == {("a",), ("b",), ("c",)}
+        assert storage_stats()["pushdown"]["mirror_rebuilds"] == 0
+        db.close()
+
 
 class TestRouting:
-    def compiled(self, db):
+    def test_plain_database_routes_through_mirror(self):
+        # A plain in-memory Database gets the same mirror a store does,
+        # and the mirror follows its commits.
+        db = Database([RelationSchema("R", 2, 1), RelationSchema("S", 2, 1)]
+                      + list(POLL_SCHEMAS))
+        db.add_all("R", [("a", "1"), ("a", "2"), ("b", "1"), ("c", "4")])
+        db.add_all("S", [("1", "b"), ("4", "c")])
+        db.add("Lives", ("ann", "ghent"))
+        db.add("Born", ("ann", "ghent"))
+        oq = OpenQuery(parse_query(QUERY), [x])
         engine = CertaintyEngine(poll_qa())
-        return plan_cache.get_or_compile(engine.rewriting, db)
 
-    def test_plain_database_never_routed(self):
-        db = Database()
-        for schema in POLL_SCHEMAS:
-            db.add_relation(schema)
-        db.add("Lives", ("p", "t"))
-        compiled = self.compiled(db)
-        assert not mirror_capable(db)
-        assert native_sql_holds(compiled, db) is None
-        # method="sql" still works, via the legacy load-per-call path.
-        engine = CertaintyEngine(poll_qa())
-        assert engine.certain(db, "sql") == engine.certain(db, "compiled")
-        assert storage_stats()["pushdown"]["legacy_sql"] == 1
-        assert storage_stats()["pushdown"]["routed_sql"] == 0
+        def check():
+            assert (certain_answers(oq, db, "sql")
+                    == certain_answers(oq, db, "compiled"))
+            assert engine.certain(db, "sql") == engine.certain(db, "compiled")
+
+        check()
+        assert engine.certain(db, "sql") is False
+        assert storage_stats()["pushdown"]["routed_sql"] == 3
+        with db.batch():
+            db.add("S", ("2", "a"))
+            db.discard("S", ("1", "b"))
+            db.add("R", ("d", "5"))
+            db.discard("Born", ("ann", "ghent"))
+        check()
+        assert engine.certain(db, "sql") is True
+        assert storage_stats()["pushdown"]["routed_sql"] == 6
+        assert storage_stats()["pushdown"]["mirror_rebuilds"] == 0
 
     def test_adom_plans_route(self, tmp_path):
         # Adom*-bearing plans are served by the maintained repro_adom
@@ -265,13 +371,16 @@ class TestRouting:
         assert storage_stats()["pushdown"]["native_sql"] == 1
         db.close()
 
-    def test_unsupported_plan_falls_back(self, tmp_path):
+    def test_unsupported_plan_raises(self, tmp_path):
         db = make_store(tmp_path / "store")
         db.add("R", ("a", "1"))
         compiled = fake_compiled(_OpaquePlan())
         assert not supports_plan(compiled.plan)
-        # The native entry points refuse it (callers fall back).
-        assert native_sql_answers(compiled, db) is None
+        # No silent fallback: the sql backend names what it cannot run.
+        with pytest.raises(PlanError, match="no SQL translation"):
+            native_sql_answers(compiled, db)
+        with pytest.raises(PlanError, match="no SQL translation"):
+            native_sql_holds(fake_compiled(_OpaquePlan(), free=()), db)
         assert storage_stats()["pushdown"]["native_sql"] == 0
         db.close()
 
@@ -290,19 +399,6 @@ class TestStatementCache:
         stats = storage_stats()["pushdown"]
         assert stats["stmt_cache_hits"] >= 2
         assert stats["stmt_cache_misses"] == misses
-        db.close()
-
-    def test_cache_disabled_by_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_SQL_STMT_CACHE", "0")
-        db = make_store(tmp_path / "store")
-        db.add_all("R", [("a", "1")])
-        oq = OpenQuery(parse_query(QUERY), [Variable("x")])
-        certain_answers(oq, db, "sql")
-        certain_answers(oq, db, "sql")
-        stats = storage_stats()["pushdown"]
-        assert stats["stmt_cache_hits"] == 0
-        assert stats["stmt_cache_misses"] == 0
-        assert sql_mirror(db).stats()["stmt_cache"]["capacity"] == 0
         db.close()
 
 
@@ -359,11 +455,10 @@ class TestEndToEnd:
         oq = OpenQuery(parse_query(QUERY), [Variable("x")])
         assert (certain_answers(oq, db, "sql")
                 == certain_answers(oq, db, "compiled"))
-        # The sql run ran natively inside the mirror, not a fresh load.
+        # The sql run ran natively inside the mirror.
         stats = storage_stats()["pushdown"]
         assert stats["routed_sql"] >= 1
         assert stats["native_sql"] >= 1
-        assert stats["legacy_sql"] == 0
         db.close()
 
     def seed_poll(self, db):
