@@ -21,6 +21,18 @@ lock as the answers they describe.  Admission control bounds every
 engine call: at most ``os.cpu_count()`` execute concurrently; the rest
 queue.
 
+Reply cache
+-----------
+
+A ``/v1/answers`` reply depends on the query text, the free variables,
+the options and the facts, and the facts change only when
+:attr:`Database.clock` moves.  The server therefore encodes each answer
+set once per clock — rows JSON-encoded in one pass, on a pool thread
+inside the admission slot — and serves repeats of the same request
+from that encoding until the next commit.  The cache is bounded by
+module constants and has no knob; ``GET /v1/metrics`` reports it under
+``server.reply_cache``.
+
 Long-polling
 ------------
 
@@ -60,14 +72,21 @@ from ..incremental.views import StaleVersionError, View, view_manager
 from ..obs.metrics import collect_metrics
 from ..obs.options import ExecutionOptions, OptionsError
 from ..obs.trace import Tracer
-from .http import HttpError, Request, json_body, read_request, response_bytes
+from .http import (
+    HttpError,
+    RawJSON,
+    Request,
+    json_body,
+    read_request,
+    response_bytes,
+)
 from .protocol import (
     SCHEMA_VERSION,
     answers_digest,
     changes_payload,
+    encode_answers,
     error_payload,
     row_from_wire,
-    rows_to_wire,
 )
 
 __all__ = ["ReproServer", "SERVE_VIEWS_FILE"]
@@ -84,6 +103,64 @@ _ENGINE_CACHE_LIMIT = 128
 _MAX_WAIT_SECONDS = 30.0
 
 _VIEW_NAME_MAX = 128
+
+#: Bounds of the reply cache: entries, and bytes of encoded answers
+#: (the encoding is ASCII, so characters are bytes).  A full cache of
+#: 45 KiB replies grows a 34 MiB daemon by 2-4 MiB (docs/PERFORMANCE.md).
+_REPLY_CACHE_ENTRIES = 256
+_REPLY_CACHE_BYTES = 2 * 1024 * 1024
+
+#: ``(count, answers_json, digest)`` of one ``/v1/answers`` reply.
+_Reply = Tuple[int, str, str]
+
+
+class _ReplyCache:
+    """Encoded ``/v1/answers`` replies of the current database clock.
+
+    Certain answers are a function of the query and the facts, and the
+    facts change only when the clock moves, so a reply keyed on
+    ``(text, free, options)`` is valid exactly while its clock is
+    current.  The clock is monotone: an entry of an older clock can
+    never hit again, so a new clock empties the whole cache.  Callers
+    read the clock under the read lock, so every concurrent reader sees
+    the same one.  Least recently used entries go first when a bound is
+    reached.
+    """
+
+    def __init__(self) -> None:
+        self._clock: Optional[int] = None
+        self._entries: Dict[Any, _Reply] = {}
+        self._bytes = 0
+        self.hits = 0
+        self.misses = 0
+
+    def get(self, clock: int, key: Any) -> Optional[_Reply]:
+        if clock != self._clock:
+            self._entries.clear()
+            self._bytes = 0
+            self._clock = clock
+        reply = self._entries.pop(key, None)
+        if reply is None:
+            self.misses += 1
+            return None
+        self.hits += 1
+        self._entries[key] = reply  # re-insert = move to MRU end
+        return reply
+
+    def put(self, clock: int, key: Any, reply: _Reply) -> None:
+        size = len(reply[1])
+        if clock != self._clock or key in self._entries \
+                or size > _REPLY_CACHE_BYTES:
+            return
+        self._entries[key] = reply
+        self._bytes += size
+        while len(self._entries) > _REPLY_CACHE_ENTRIES \
+                or self._bytes > _REPLY_CACHE_BYTES:
+            self._bytes -= len(self._entries.pop(next(iter(self._entries)))[1])
+
+    def stats(self) -> Dict[str, int]:
+        return {"hits": self.hits, "misses": self.misses,
+                "entries": len(self._entries), "bytes": self._bytes}
 
 
 class _RWLock:
@@ -217,7 +294,10 @@ class ReproServer:
             max_workers=self._slots + 1, thread_name_prefix="repro-serve"
         )
         self._engines: Dict[str, CertaintyEngine] = {}
+        self._replies = _ReplyCache()
         self._views: Dict[str, View] = {}
+        # name -> (view version, digest of the view's answers then)
+        self._view_digests: Dict[str, Tuple[int, str]] = {}
         self._view_specs: Dict[str, Dict[str, Any]] = {}
         self._manager = view_manager(db, history_limit=history_limit)
         self._ids = itertools.count(1)
@@ -491,27 +571,38 @@ class ReproServer:
         opts = _options_field(body)
         engine = self._engine_for(text)
         variables = tuple(Variable(n) for n in free)
+        key = (text, free, opts)
+
+        def compute() -> _Reply:
+            rows = engine.certain_answers(self.db, variables, opts,
+                                          tracer=tracer)
+            return (len(rows),) + encode_answers(rows)
+
         t0 = time.perf_counter()
         async with self._rw.read_locked():
             clock = self.db.clock
-            try:
-                rows = await self._run_read(
-                    lambda: engine.certain_answers(self.db, variables, opts,
-                                                   tracer=tracer)
-                )
-            except NotInFO as exc:
-                raise HttpError(422, "not-in-fo", str(exc))
-            except QueryError as exc:
-                raise HttpError(400, "bad-request", str(exc))
+            reply = self._replies.get(clock, key)
+            if tracer is not None:
+                tracer.current().tag(
+                    reply_cache="miss" if reply is None else "hit")
+            if reply is None:
+                try:
+                    reply = await self._run_read(compute)
+                except NotInFO as exc:
+                    raise HttpError(422, "not-in-fo", str(exc))
+                except QueryError as exc:
+                    raise HttpError(400, "bad-request", str(exc))
+                self._replies.put(clock, key, reply)
+        count, answers_json, digest = reply
         return {
             "query": text,
             "free": list(free),
             "method": opts.method,
             "options": opts.to_dict(),
             "clock": clock,
-            "answers": rows_to_wire(rows),
-            "count": len(rows),
-            "digest": answers_digest(rows),
+            "answers": RawJSON(answers_json),
+            "count": count,
+            "digest": digest,
             "elapsed_ms": round((time.perf_counter() - t0) * 1000.0, 3),
         }
 
@@ -586,8 +677,9 @@ class ReproServer:
                     f"view {name!r} already registered with a different "
                     "query; unregistering is not supported over the wire",
                 )
-            view = self._views[name]
-            return self._view_summary(name, view, created=False)
+            async with self._rw.read_locked():
+                return self._view_summary(name, self._views[name],
+                                          created=False)
         try:
             query = parse_query(text)
         except (ParseError, QueryError) as exc:
@@ -605,7 +697,7 @@ class ReproServer:
             self._views[name] = view
             self._view_specs[name] = {"query": text, "free": list(free)}
             self._persist_named_views()
-        return self._view_summary(name, view, created=True)
+            return self._view_summary(name, view, created=True)
 
     async def _ep_list_views(self, request: Request, rid: str,
                              tracer: Optional[Tracer]) -> Dict[str, Any]:
@@ -666,6 +758,7 @@ class ReproServer:
         server["uptime_s"] = round(time.monotonic() - self._started_at, 3)
         server["views"] = len(self._views)
         server["engine_cache"] = len(self._engines)
+        server["reply_cache"] = self._replies.stats()
         payload: Dict[str, Any] = {
             "clock": self.db.clock,
             "engine": collect_metrics().to_dict(),
@@ -747,14 +840,20 @@ class ReproServer:
 
     def _view_summary(self, name: str, view: View,
                       created: Optional[bool] = None) -> Dict[str, Any]:
+        """One view's listing; call it under the RW lock, so the
+        version and the answers belong to the same commit."""
         spec = self._view_specs[name]
+        cached = self._view_digests.get(name)
+        if cached is None or cached[0] != view.version:
+            cached = (view.version, answers_digest(view.answers))
+            self._view_digests[name] = cached
         out: Dict[str, Any] = {
             "name": name,
             "query": spec["query"],
             "free": list(spec["free"]),
             "version": view.version,
             "count": len(view.answers),
-            "digest": answers_digest(view.answers),
+            "digest": cached[1],
         }
         if created is not None:
             out["created"] = created

@@ -16,8 +16,9 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping, Optional
 from urllib.parse import parse_qsl, urlsplit
 
-__all__ = ["HttpError", "Request", "read_request", "response_bytes",
-           "json_body", "MAX_HEADER_BYTES", "MAX_BODY_BYTES"]
+__all__ = ["HttpError", "RawJSON", "Request", "read_request",
+           "response_bytes", "json_body", "MAX_HEADER_BYTES",
+           "MAX_BODY_BYTES"]
 
 #: Request line plus headers must fit here (ample for JSON APIs).
 MAX_HEADER_BYTES = 32 * 1024
@@ -49,6 +50,19 @@ class HttpError(Exception):
         self.code = code
         self.message = message
         self.extra = extra
+
+
+class RawJSON:
+    """A JSON text that :func:`response_bytes` splices in verbatim.
+
+    For a top-level payload value that is already encoded (a cached
+    ``answers`` array), so a reply does not decode and re-dump it.
+    """
+
+    __slots__ = ("text",)
+
+    def __init__(self, text: str) -> None:
+        self.text = text
 
 
 @dataclass
@@ -131,6 +145,21 @@ def json_body(request: Request) -> Any:
         raise HttpError(400, "bad-json", f"request body is not JSON: {exc}")
 
 
+def _dumps(value: Any) -> str:
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
+def _body(payload: Any) -> str:
+    if isinstance(payload, dict) and any(
+            isinstance(v, RawJSON) for v in payload.values()):
+        return "{" + ",".join(
+            _dumps(key) + ":"
+            + (value.text if isinstance(value, RawJSON) else _dumps(value))
+            for key, value in sorted(payload.items())
+        ) + "}"
+    return _dumps(payload)
+
+
 def response_bytes(
     status: int,
     payload: Any,
@@ -138,9 +167,12 @@ def response_bytes(
     keep_alive: bool = True,
     headers: Optional[Mapping[str, str]] = None,
 ) -> bytes:
-    """A full HTTP/1.1 response frame with a JSON body."""
-    body = json.dumps(payload, sort_keys=True,
-                      separators=(",", ":")).encode("utf-8") + b"\n"
+    """A full HTTP/1.1 response frame with a JSON body.
+
+    Top-level :class:`RawJSON` values of a dict payload go into the
+    body as they are; everything else is dumped compactly, keys sorted.
+    """
+    body = _body(payload).encode("utf-8") + b"\n"
     reason = _STATUS_TEXT.get(status, "Unknown")
     lines = [
         f"HTTP/1.1 {status} {reason}",

@@ -8,6 +8,11 @@ canonical ``sha256:`` digest so clients — and the bench harness — can
 compare a server response against a direct
 :func:`repro.cqa.certain_answers` call without shipping the rows.
 
+One ordering rule holds everywhere on the wire: rows are sorted by
+their compact JSON text, the same strings the digest hashes.
+:func:`encode_answers` produces both the ``answers`` array and the
+digest from one encoding pass.
+
 The response documents themselves are described by
 ``docs/serve.schema.json``; ``scripts/validate_serve.py`` checks
 captured responses against it with the in-tree validator
@@ -20,12 +25,13 @@ import hashlib
 import json
 from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Tuple
 
-from ..db.io import _freeze, _thaw
+from ..db.io import _freeze
 
 __all__ = [
     "SCHEMA_VERSION",
     "ERROR_CODES",
     "answers_digest",
+    "encode_answers",
     "error_payload",
     "row_from_wire",
     "rows_to_wire",
@@ -50,9 +56,56 @@ ERROR_CODES = (
 )
 
 
+#: Compact JSON text of one row: ``[v, ...]``, tuples as arrays;
+#: exactly ``json.dumps(row, separators=(",", ":"), sort_keys=True)``.
+_encode_row = json.JSONEncoder(separators=(",", ":"), sort_keys=True).encode
+
+
+def _check_values(rows: List[Tuple]) -> None:
+    """Raise :class:`TypeError` on a value no wire row may hold.
+
+    Wire values are strings, ints, bools and tuples of them (``value``
+    in ``docs/serve.schema.json``).  JSON would write ``None`` as
+    ``null`` and a float as a number; the rows are checked first so
+    that both fail as they do in :func:`repro.db.io.database_to_dict`.
+    The check collects value types one nesting level at a time, which
+    costs a few percent of the encoding.
+    """
+    values = [v for row in rows for v in row]
+    while values:
+        kinds = set(map(type, values))
+        for kind in kinds:
+            if not issubclass(kind, (str, int, tuple)):  # bool is an int
+                bad = next(v for v in values if type(v) is kind)
+                raise TypeError(f"unsupported value in an answer: {bad!r}")
+        if not any(issubclass(kind, tuple) for kind in kinds):
+            return
+        values = [v for value in values if isinstance(value, tuple)
+                  for v in value]
+
+
+def _wire_lines(rows: Iterable[Tuple]) -> List[str]:
+    """The rows' compact JSON texts, sorted: the one wire order."""
+    rows = list(rows)
+    _check_values(rows)
+    return sorted(map(_encode_row, rows))
+
+
+def encode_answers(rows: Iterable[Tuple]) -> Tuple[str, str]:
+    """``(answers_json, digest)`` of an answer set, from one encoding.
+
+    Each row is JSON-encoded compactly once; the sorted encodings are
+    joined with commas into the reply's ``answers`` array and with
+    newlines into the text :func:`answers_digest` hashes.
+    """
+    lines = _wire_lines(rows)
+    digest = hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
+    return "[" + ",".join(lines) + "]", "sha256:" + digest
+
+
 def rows_to_wire(rows: Iterable[Tuple]) -> List[List[Any]]:
-    """Answer rows as sorted JSON-ready lists (tuples thawed)."""
-    return sorted(([_thaw(v) for v in row] for row in rows), key=repr)
+    """Answer rows as JSON-ready lists (tuples as lists), in wire order."""
+    return json.loads("[" + ",".join(_wire_lines(rows)) + "]")
 
 
 def row_from_wire(row: Any) -> Tuple:
@@ -71,17 +124,7 @@ def answers_digest(rows: Iterable[Tuple]) -> str:
     it from engine tuples, ``scripts/bench_serve.py`` recomputes it
     from a direct library call — so equal digests mean equal answers.
     """
-    lines = sorted(
-        json.dumps([_thaw(v) for v in row], separators=(",", ":"),
-                   sort_keys=True)
-        for row in rows
-    )
-    return "sha256:" + hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
-
-
-def wire_digest(rows: Iterable[List[Any]]) -> str:
-    """:func:`answers_digest` for rows already in wire (list) form."""
-    return answers_digest(tuple(row_from_wire(list(r))) for r in rows)
+    return encode_answers(rows)[1]
 
 
 def error_payload(code: str, message: str, *,

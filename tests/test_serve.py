@@ -11,12 +11,16 @@ against ``docs/serve.schema.json`` with the in-tree validator.
 from __future__ import annotations
 
 import asyncio
+import hashlib
 import http.client
 import json
 import pathlib
+import random
 import threading
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.core.atoms import RelationSchema
 from repro.core.parser import parse_query
@@ -24,12 +28,19 @@ from repro.core.terms import Variable
 from repro.cqa.certain_answers import OpenQuery, certain_answers
 from repro.cqa.engine import CertaintyEngine
 from repro.db.database import Database
+from repro.db.io import _thaw
 from repro.obs.schema import validate
-from repro.serve import ReproServer, answers_digest
+from repro.obs.trace import read_jsonl
+from repro.serve import ReproServer, answers_digest, rows_to_wire
+from repro.serve import app as serve_app
+from repro.serve.http import RawJSON, response_bytes
+from repro.serve.protocol import encode_answers
 from repro.storage import PersistentDatabase
+from repro.workloads.poll import random_poll_database
 
 FO_QUERY = "P(x | y), not N('c' | y)"       # acyclic: every method works
 CYCLIC_QUERY = "Mayor(t | p), not Lives(p | t)"  # Ex 4.6 q1: no FO rewriting
+QA = "Lives(p | t), not Born(p | t), not Likes(p, t |)"  # Ex 4.6 q_a
 
 SCHEMA = json.loads(
     (pathlib.Path(__file__).resolve().parent.parent / "docs"
@@ -366,3 +377,245 @@ class TestPersistence:
             assert reopened.contains("R", ("k", "v"))
         finally:
             reopened.close()
+
+
+# ---------------------------------------------------------------------------
+# reply cache: one encoded /v1/answers reply per request per clock
+# ---------------------------------------------------------------------------
+
+def poll_db():
+    return random_poll_database(n_people=40, n_towns=5, rng=random.Random(5))
+
+
+@pytest.fixture
+def poll_served():
+    with ServerHandle(poll_db()) as handle:
+        yield handle
+
+
+def direct_digest(db, query=QA, free=("p",)):
+    return answers_digest(certain_answers(
+        OpenQuery(parse_query(query), tuple(Variable(n) for n in free)),
+        db, "compiled"))
+
+
+def reply_cache(handle):
+    status, body = handle.get("/v1/metrics")
+    assert status == 200
+    return body["server"]["reply_cache"]
+
+
+QA_REQUEST = {"query": QA, "free": ["p"]}
+
+
+class TestReplyCache:
+    def test_commit_invalidates_reply(self, poll_served):
+        _, first = poll_served.post("/v1/answers", QA_REQUEST)
+        _, again = poll_served.post("/v1/answers", QA_REQUEST)
+        assert again["digest"] == first["digest"]
+        assert again["answers"] == first["answers"]
+        assert reply_cache(poll_served)["hits"] == 1
+
+        # a newcomer who lives somewhere else than where they were born
+        # is a certain answer of q_a
+        ops = [{"op": "+", "relation": "Lives", "row": ["newcomer", "t0"]},
+               {"op": "+", "relation": "Born", "row": ["newcomer", "t1"]}]
+        status, facts = poll_served.post("/v1/facts", {"ops": ops})
+        assert status == 200
+        status, after = poll_served.post("/v1/answers", QA_REQUEST)
+        assert status == 200
+        check_shape(after, "answers_response")
+        assert after["clock"] == facts["clock"] > first["clock"]
+        oracle = poll_db()
+        oracle.add("Lives", ("newcomer", "t0"))
+        oracle.add("Born", ("newcomer", "t1"))
+        assert after["digest"] == direct_digest(oracle) != first["digest"]
+        assert ["newcomer"] in after["answers"]
+        assert reply_cache(poll_served) == {
+            "hits": 1, "misses": 2, "entries": 1,
+            "bytes": len(json.dumps(after["answers"], separators=(",", ":"))),
+        }
+
+    def test_noop_batch_keeps_reply(self, poll_served):
+        _, first = poll_served.post("/v1/answers", QA_REQUEST)
+        present = sorted(poll_db().facts("Lives"))[0]
+        _, facts = poll_served.post("/v1/facts", {"ops": [
+            {"op": "+", "relation": "Lives", "row": list(present)}]})
+        assert facts["clock"] == first["clock"]
+        _, again = poll_served.post("/v1/answers", QA_REQUEST)
+        assert again["clock"] == first["clock"]
+        assert again["digest"] == first["digest"] == direct_digest(poll_db())
+        assert reply_cache(poll_served)["hits"] == 1
+
+    def test_schema_only_batch_keeps_reply_correct(self, poll_served):
+        # Extra is not declared yet, so it reads as an empty relation
+        query = "Lives(p | t), not Extra(p |)"
+        request = {"query": query, "free": ["p"]}
+        _, first = poll_served.post("/v1/answers", request)
+        _, facts = poll_served.post("/v1/facts", {
+            "schemas": [{"name": "Extra", "arity": 1, "key_size": 1}]})
+        assert facts["clock"] == first["clock"]
+        _, again = poll_served.post("/v1/answers", request)
+        oracle = poll_db()
+        oracle.add_relation(RelationSchema("Extra", 1, 1))
+        assert again["digest"] == direct_digest(oracle, query)
+        assert again["digest"] == first["digest"]
+
+    def test_free_and_method_never_share_an_entry(self, poll_served):
+        requests = [
+            QA_REQUEST,
+            {"query": QA, "free": ["p", "t"]},
+            {"query": QA, "free": ["p"], "options": {"method": "compiled"}},
+            {"query": QA, "free": ["p"], "options": {"method": "columnar"}},
+        ]
+        replies = [poll_served.post("/v1/answers", r)[1] for r in requests]
+        assert reply_cache(poll_served)["misses"] == 4
+        assert reply_cache(poll_served)["entries"] == 4
+        assert replies[1]["digest"] == direct_digest(poll_db(), QA, ("p", "t"))
+        assert {r["digest"] for r in replies[:1] + replies[2:]} \
+            == {direct_digest(poll_db())}
+        assert [r["method"] for r in replies] \
+            == ["auto", "auto", "compiled", "columnar"]
+
+    def test_errors_are_not_cached(self, poll_served):
+        not_fo = {"query": CYCLIC_QUERY, "free": [],
+                  "options": {"method": "compiled"}}
+        unknown_free = {"query": QA, "free": ["zzz"]}
+        for _ in range(2):
+            status, body = poll_served.post("/v1/answers", not_fo)
+            assert status == 422 and body["error"]["code"] == "not-in-fo"
+            status, body = poll_served.post("/v1/answers", unknown_free)
+            assert status == 400 and body["error"]["code"] == "bad-request"
+        assert reply_cache(poll_served) == {
+            "hits": 0, "misses": 4, "entries": 0, "bytes": 0}
+
+    def test_encoding_runs_on_a_pool_thread(self, poll_served, monkeypatch):
+        threads = []
+        real = serve_app.encode_answers
+
+        def spy(rows):
+            threads.append(threading.current_thread().name)
+            return real(rows)
+
+        monkeypatch.setattr(serve_app, "encode_answers", spy)
+        status, body = poll_served.post("/v1/answers", QA_REQUEST)
+        assert status == 200 and body["digest"] == direct_digest(poll_db())
+        assert len(threads) == 1
+        assert threads[0].startswith("repro-serve")
+
+    def test_trace_tags_hit_and_miss(self, tmp_path):
+        trace = tmp_path / "spans.jsonl"
+        with ServerHandle(poll_db(), trace_file=str(trace)) as handle:
+            for _ in range(2):
+                assert handle.post("/v1/answers", QA_REQUEST)[0] == 200
+        tags = [r["tags"].get("reply_cache") for r in read_jsonl(str(trace))
+                if r["name"] == "serve-request"]
+        assert tags == ["miss", "hit"]
+
+
+class TestViewDigestCache:
+    def test_digest_computed_once_per_version(self, poll_served, monkeypatch):
+        status, _ = poll_served.post("/v1/views", {
+            "name": "qa", "query": QA, "free": ["p"]})
+        assert status == 200
+        calls = []
+        real = serve_app.answers_digest
+
+        def spy(rows):
+            calls.append(1)
+            return real(rows)
+
+        monkeypatch.setattr(serve_app, "answers_digest", spy)
+        ops = [{"op": "+", "relation": "Lives", "row": ["newcomer", "t0"]},
+               {"op": "+", "relation": "Born", "row": ["newcomer", "t1"]}]
+        assert poll_served.post("/v1/facts", {"ops": ops})[0] == 200
+        listings = [poll_served.get("/v1/views")[1] for _ in range(2)]
+        assert len(calls) == 1
+        assert listings[0] == {**listings[1],
+                               "request_id": listings[0]["request_id"]}
+        view = poll_served.server._views["qa"]
+        listed = listings[0]["views"][0]
+        assert listed["version"] == view.version
+        assert listed["digest"] == real(view.answers)
+        oracle = poll_db()
+        oracle.add("Lives", ("newcomer", "t0"))
+        oracle.add("Born", ("newcomer", "t1"))
+        assert listed["digest"] == direct_digest(oracle)
+
+
+# ---------------------------------------------------------------------------
+# encoding parity: one pass gives the reference digest and the wire rows
+# ---------------------------------------------------------------------------
+
+def reference_digest(rows):
+    """The digest's former definition: thaw each value, then dump.
+
+    ``_thaw`` raises :class:`TypeError` on a value outside the wire's
+    domain (``None``, floats); the one-pass encoding must too.
+    """
+    lines = sorted(json.dumps([_thaw(v) for v in row], separators=(",", ":"),
+                              sort_keys=True) for row in rows)
+    return "sha256:" + hashlib.sha256(
+        "\n".join(lines).encode("utf-8")).hexdigest()
+
+
+def freeze(value):
+    return tuple(freeze(v) for v in value) if isinstance(value, list) else value
+
+
+TRICKY_TEXT = st.sampled_from(['"', '],[', '\n', '\\', 'é', '☃', '', 'a"b'])
+VALUES = st.recursive(
+    st.one_of(st.text(), TRICKY_TEXT, st.integers(), st.booleans(),
+              st.none()),
+    lambda inner: st.lists(inner, max_size=3).map(tuple),
+    max_leaves=6,
+)
+ROWS = st.frozensets(st.lists(VALUES, min_size=1, max_size=3).map(tuple),
+                     max_size=12)
+
+
+class TestEncodingParity:
+    @given(ROWS)
+    def test_encode_answers_matches_reference(self, rows):
+        try:
+            expected = reference_digest(rows)
+        except TypeError:
+            for encode in (encode_answers, answers_digest, rows_to_wire):
+                with pytest.raises(TypeError):
+                    encode(rows)
+            return
+        answers_json, digest = encode_answers(rows)
+        assert digest == expected == answers_digest(rows)
+        decoded = json.loads(answers_json)
+        assert {freeze(row) for row in decoded} == set(rows)
+        assert len(decoded) == len(rows)
+        assert decoded == rows_to_wire(rows)  # one row order on the wire
+
+    def test_values_outside_the_wire_domain_fail_uncached(self):
+        db = Database()
+        db.add_relation(RelationSchema("P", 2, 1))
+        db.add("P", ("a", None))
+        db.add("P", ("b", ("c", 1.5)))
+        with ServerHandle(db) as handle:
+            for free in (["x", "y"], ["y"]):
+                status, body = handle.post("/v1/answers", {
+                    "query": "P(x | y)", "free": free})
+                assert status == 500
+                assert body["error"]["code"] == "internal"
+                assert "TypeError" in body["error"]["message"]
+            status, body = handle.post("/v1/answers", {
+                "query": "P(x | y)", "free": ["x"]})
+            assert status == 200 and body["answers"] == [["a"], ["b"]]
+            assert reply_cache(handle)["entries"] == 1
+
+    @given(st.lists(st.lists(VALUES, min_size=1, max_size=3), max_size=8))
+    def test_raw_json_splices_like_a_dump(self, rows):
+        def body(answers):
+            frame = response_bytes(200, {"query": QA, "count": len(rows),
+                                         "answers": answers})
+            head, _, payload = frame.partition(b"\r\n\r\n")
+            assert f"Content-Length: {len(payload)}".encode() in head
+            return json.loads(payload)
+
+        raw = RawJSON(json.dumps(rows, separators=(",", ":")))
+        assert body(raw) == body(rows)
